@@ -166,16 +166,6 @@ parseExactDouble(const std::string& s)
 }
 
 std::uint64_t
-fnv1a64(std::string_view s, std::uint64_t h)
-{
-    for (const char ch : s) {
-        h ^= static_cast<unsigned char>(ch);
-        h *= 0x00000100000001b3ULL;
-    }
-    return h;
-}
-
-std::uint64_t
 sweepFingerprint(const NetworkConfig& network,
                  const TrafficConfig& traffic, const SimConfig& sim,
                  const std::vector<double>& rates, unsigned seeds)

@@ -44,6 +44,7 @@
 #include <vector>
 
 #include "core/config.hh"
+#include "core/hash.hh"
 #include "core/simulation.hh"
 #include "core/sync.hh"
 
@@ -73,8 +74,10 @@ struct CheckpointEntry
     std::string failureMessage;
     /** JSON forensic snapshot of the failure (may be empty). */
     std::string failureForensics;
-    /** Captured worker exit detail in --isolate mode ("signal 11",
-     * "exit 3"); empty for in-process cells. */
+    /** How an isolated worker died ("signal 11", "exit 1"): set
+     * only on a StopReason::WorkerCrash entry, where it is the
+     * diagnosis; empty otherwise, so healthy entries carry the same
+     * bytes in process and isolated. */
     std::string workerExit;
 };
 
@@ -105,13 +108,6 @@ std::string unescapeField(std::string_view s);
 /** @p v as 16 lowercase hex digits (checksum/fingerprint fields). */
 std::string hex16(std::uint64_t v);
 /// @}
-
-/** FNV-1a 64-bit offset basis. */
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-
-/** Incremental FNV-1a-64 over @p s, continuing from @p h. */
-std::uint64_t fnv1a64(std::string_view s,
-                      std::uint64_t h = kFnvOffset);
 
 /**
  * Bump when a code change alters simulation results for a fixed

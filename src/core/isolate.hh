@@ -3,14 +3,16 @@
  * Process-isolated execution of one sweep cell (docs/ROBUSTNESS.md,
  * "Survivable runs").
  *
- * `orion_sweep --isolate` runs every (rate, seed) cell in a
- * fork/exec'd orion_sim subprocess instead of in-process, so a cell
+ * core::PointRunner's isolated backend (`orion_sweep --isolate`,
+ * `orion_served --isolate`) runs every attempt of a point in a
+ * fork/exec'd orion_sim subprocess instead of in-process, so a point
  * that SIGSEGVs, OOMs, or wedges past its deadline is recorded as a
- * structured per-cell failure (exit status or signal captured, stderr
- * tail attached) while every other cell completes normally. The child
- * writes its report with `orion_sim --report-out FILE` using the
- * same exact hexfloat serialization the checkpoint journal uses, so
- * isolated results merge byte-identically with in-process ones.
+ * structured per-point failure (exit status or signal captured,
+ * stderr tail attached) while every other point completes normally.
+ * The child writes its report with `orion_sim --report-out FILE`
+ * using the same exact hexfloat serialization the checkpoint journal
+ * uses, so isolated results merge byte-identically with in-process
+ * ones.
  *
  * Resource fencing: the child gets RLIMIT_AS / RLIMIT_CPU caps (when
  * configured) and a kill-on-timeout watchdog in the parent — a

@@ -4,18 +4,14 @@
 
 namespace orion::core {
 
-namespace {
-
 double
 monotonicSeconds()
 {
-    const auto now = // observability only
+    const auto now =
         std::chrono::steady_clock::now() // lint-allow: nondeterminism
             .time_since_epoch();
     return std::chrono::duration<double>(now).count();
 }
-
-} // namespace
 
 void
 PhaseProfiler::beginCycle()

@@ -33,6 +33,10 @@
 
 namespace orion::core {
 
+/** Seconds on the monotonic wall clock: timing, deadlines and
+ * resource accounting only, never results. */
+double monotonicSeconds();
+
 class PhaseProfiler
 {
   public:

@@ -10,21 +10,13 @@
 
 #include "core/log.hh"
 #include "core/manifest.hh"
+#include "core/profile.hh"
 
 namespace orion::core {
 
 namespace {
 
 constexpr unsigned kNoSlot = std::numeric_limits<unsigned>::max();
-
-double
-monotonicSeconds()
-{
-    const auto now = // observability only
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
 
 double
 wallUnixSeconds()

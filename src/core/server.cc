@@ -1,54 +1,14 @@
 #include "core/server.hh"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
-#include <exception>
-#include <fstream>
 #include <optional>
-#include <thread>
+#include <stdexcept>
 
-#include <stdlib.h>
-#include <unistd.h>
-
-#include "core/forensics.hh"
-#include "core/isolate.hh"
 #include "core/log.hh"
-#include "sim/rng.hh"
+#include "core/point_runner.hh"
+#include "core/profile.hh"
 
 namespace orion::core {
-
-namespace {
-
-/** Monotonic seconds for job deadline accounting (wall-clock by
- * design; Deadline outcomes are never cached or journaled). */
-double
-monotonicSeconds()
-{
-    const auto t = std::chrono::steady_clock::now(); // lint-allow: nondeterminism
-    return std::chrono::duration<double>(t.time_since_epoch()).count();
-}
-
-/** First line of an isolate-mode worker's --report-out file, parsed;
- * false when missing or corrupt (the crash triage handles it). */
-bool
-readWorkerEntry(const std::string& path, CheckpointEntry& out)
-{
-    std::ifstream in(path);
-    if (!in)
-        return false;
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    try {
-        out = parseEntry(line);
-    } catch (const CheckpointError&) {
-        return false;
-    }
-    return true;
-}
-
-} // namespace
 
 const char*
 jobStateName(JobState s)
@@ -65,14 +25,6 @@ jobStateName(JobState s)
 
 Server::Server(const ServerOptions& opts) : opts_(opts)
 {
-    if (opts_.isolate) {
-        char tmpl[] = "/tmp/orion_served.XXXXXX";
-        const char* dir = ::mkdtemp(tmpl);
-        if (dir == nullptr)
-            throw std::runtime_error(
-                "orion server: cannot create isolate scratch dir");
-        tmpDir_ = dir;
-    }
     const unsigned n = std::max(1u, opts_.workers);
     workers_.reserve(n);
     for (unsigned i = 0; i < n; ++i)
@@ -82,8 +34,6 @@ Server::Server(const ServerOptions& opts) : opts_(opts)
 Server::~Server()
 {
     drain();
-    if (!tmpDir_.empty())
-        ::rmdir(tmpDir_.c_str()); // best-effort (reports are unlinked)
 }
 
 std::uint64_t
@@ -234,13 +184,28 @@ Server::runJob(Job& job)
                               ? spec.timeoutSeconds
                               : opts_.defaultTimeoutSeconds;
     const double t0 = monotonicSeconds();
+    std::optional<WorkerCommand> worker = opts_.worker;
+    if (worker) {
+        worker->args.insert(worker->args.end(), spec.argv.begin(),
+                            spec.argv.end());
+    }
 
     std::string text;
     bool any_failed = false;
     bool deadline_hit = false;
     std::string first_error;
+    std::optional<PointRunner> runner;
+    try {
+        runner.emplace(spec.network, spec.traffic, spec.sim,
+                       opts_.retry, worker);
+    } catch (const std::runtime_error& e) {
+        // No scratch directory for the workers: this job fails, the
+        // daemon does not.
+        any_failed = true;
+        first_error = e.what();
+    }
 
-    for (std::size_t i = 0; i < spec.rates.size(); ++i) {
+    for (std::size_t i = 0; runner && i < spec.rates.size(); ++i) {
         if (job.token.cancelled())
             break;
         double remaining = 0.0;
@@ -263,18 +228,13 @@ Server::runJob(Job& job)
             cached = opts_.cache->lookup(key, entry);
         }
         if (!cached) {
-            entry = opts_.isolate
-                        ? runPointIsolated(spec, rate, job.token,
-                                           remaining, job.status.id, i)
-                        : runPointInProcess(spec, rate, job.token,
-                                            remaining);
+            // Every point runs as its own single-point grid at (0, 0),
+            // so its seed, like its cache key, ignores how the job
+            // batched it.
+            entry = runner->run(rate, 0, 0, &job.token, remaining).entry;
             // Only deterministic outcomes are cached — the same
             // exclusion the checkpoint journal applies.
-            const StopReason sr = entry.failed ? entry.failureReason
-                                               : entry.report.stopReason;
-            if (opts_.cache != nullptr &&
-                sr != StopReason::Deadline &&
-                sr != StopReason::Interrupted) {
+            if (opts_.cache != nullptr && journalable(entry)) {
                 try {
                     opts_.cache->insert(key, entry);
                 } catch (const CacheError& e) {
@@ -337,221 +297,6 @@ Server::runJob(Job& job)
         ++completed_;
     }
     --running_;
-}
-
-CheckpointEntry
-Server::runPointInProcess(const JobSpec& spec, double rate,
-                          CancelToken& job_token,
-                          double deadline_seconds)
-{
-    TrafficConfig t = spec.traffic;
-    t.injectionRate = rate;
-
-    Report report;
-    std::optional<PointFailure> failure;
-    unsigned attempts = 1;
-    const unsigned max_attempts = std::max(1u, opts_.retry.maxAttempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (job_token.cancelled()) {
-            report = Report{};
-            report.stopReason = StopReason::Interrupted;
-            failure = PointFailure{StopReason::Interrupted,
-                                   "job cancelled before the point "
-                                   "could run",
-                                   std::string{}};
-            break;
-        }
-        if (attempt > 0 && opts_.retry.backoffMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts_.retry.backoffMs));
-        }
-        SimConfig s = spec.sim;
-        // Canonical single-point derivation (rate index 0): the seed
-        // depends only on the configuration and the attempt, never
-        // on the point's position in the job, so cache keys map to
-        // one execution regardless of batching.
-        s.seed = sim::deriveSeed(spec.sim.seed, 0,
-                                 attempt * kRetrySeedOffset);
-        if (attempt > 0 && s.debugPoisonTransient)
-            s.debugPoisonRate = -1.0;
-        attempts = attempt + 1;
-
-        core::CancelToken token(&job_token);
-        if (deadline_seconds > 0.0)
-            token.armDeadline(deadline_seconds);
-        s.cancel = &token;
-
-        try {
-            Simulation run(spec.network, t, s);
-            report = run.run();
-            const StopReason sr = report.stopReason;
-            if (sr == StopReason::Deadline) {
-                failure = PointFailure{
-                    StopReason::Deadline,
-                    "point exceeded the job deadline after " +
-                        std::to_string(report.totalCycles) +
-                        " cycles",
-                    forensicSnapshot(run, "job deadline expired")};
-                break;
-            }
-            if (sr == StopReason::Interrupted) {
-                failure = PointFailure{
-                    StopReason::Interrupted,
-                    "interrupted mid-run (cancel/SIGTERM)",
-                    std::string{}};
-                break;
-            }
-            if (sr != StopReason::CheckFailure) {
-                failure.reset();
-                break;
-            }
-            failure = PointFailure{
-                StopReason::CheckFailure,
-                report.checkFailureDiagnostic,
-                forensicSnapshot(run,
-                                 report.checkFailureDiagnostic)};
-        } catch (const std::exception& e) {
-            report = Report{};
-            report.stopReason = StopReason::CheckFailure;
-            failure = PointFailure{StopReason::CheckFailure, e.what(),
-                                   std::string{}};
-        }
-        // CheckFailure (thrown or reported): retry on a rederived
-        // seed until the attempts budget runs out.
-    }
-
-    CheckpointEntry e;
-    e.rateIndex = 0;
-    e.seedIndex = 0;
-    e.attempts = attempts;
-    e.report = report;
-    if (failure) {
-        e.failed = true;
-        e.failureReason = failure->reason;
-        e.failureMessage = failure->message;
-        e.failureForensics = failure->forensicsJson;
-    }
-    return e;
-}
-
-CheckpointEntry
-Server::runPointIsolated(const JobSpec& spec, double rate,
-                         CancelToken& job_token,
-                         double deadline_seconds,
-                         std::uint64_t job_id, std::size_t point_index)
-{
-    CheckpointEntry e;
-    e.rateIndex = 0;
-    e.seedIndex = 0;
-
-    std::string crash_message;
-    std::string worker_exit;
-    const unsigned max_attempts = std::max(1u, opts_.retry.maxAttempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        if (job_token.cancelled()) {
-            e.report = Report{};
-            e.report.stopReason = StopReason::Interrupted;
-            e.failed = true;
-            e.failureReason = StopReason::Interrupted;
-            e.failureMessage =
-                "job cancelled before the point could run";
-            return e;
-        }
-        if (attempt > 0 && opts_.retry.backoffMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts_.retry.backoffMs));
-        }
-        e.attempts = attempt + 1;
-
-        const std::uint64_t seed = sim::deriveSeed(
-            spec.sim.seed, 0, attempt * kRetrySeedOffset);
-        const std::string report_path =
-            tmpDir_ + "/job" + std::to_string(job_id) + "_p" +
-            std::to_string(point_index) + "_a" +
-            std::to_string(attempt) + ".entry";
-
-        IsolateOptions io;
-        io.argv.push_back(opts_.isolateExe);
-        io.argv.insert(io.argv.end(), spec.argv.begin(),
-                       spec.argv.end());
-        // Appended flags win: the worker runs exactly this point's
-        // rate (hexfloat for bit-exactness) and derived seed.
-        io.argv.push_back("--rate");
-        io.argv.push_back(exactDouble(rate));
-        io.argv.push_back("--seed");
-        io.argv.push_back(std::to_string(seed));
-        io.argv.push_back("--report-out");
-        io.argv.push_back(report_path);
-        if (deadline_seconds > 0.0) {
-            io.argv.push_back("--point-timeout");
-            io.argv.push_back(std::to_string(deadline_seconds));
-            // The cooperative deadline lives in the worker; the
-            // parent watchdog only backstops a wedged process.
-            io.timeoutSeconds = deadline_seconds * 2.0 + 5.0;
-        }
-        io.quietStdout = true;
-        io.cancel = &job_token;
-
-        const IsolateResult res = runIsolated(io);
-        CheckpointEntry got;
-        const bool have_entry = readWorkerEntry(report_path, got);
-        std::remove(report_path.c_str());
-
-        if (res.interrupted || (res.exited && res.exitCode == 5)) {
-            e.report = Report{};
-            e.report.stopReason = StopReason::Interrupted;
-            e.failed = true;
-            e.failureReason = StopReason::Interrupted;
-            e.failureMessage = "interrupted mid-run (cancel/SIGTERM)";
-            return e;
-        }
-        if (res.timedOut || (res.exited && res.exitCode == 6)) {
-            e.report = have_entry ? got.report : Report{};
-            e.report.stopReason = StopReason::Deadline;
-            e.failed = true;
-            e.failureReason = StopReason::Deadline;
-            e.failureMessage =
-                res.timedOut
-                    ? "worker exceeded the watchdog deadline and "
-                      "was killed (" + res.describe() + ")"
-                    : (have_entry ? got.failureMessage
-                                  : "worker hit --point-timeout "
-                                    "(exit 6)");
-            return e;
-        }
-        if (res.healthyExit() && have_entry) {
-            e.report = got.report;
-            e.failed = got.failed;
-            e.failureReason = got.failureReason;
-            e.failureMessage = got.failureMessage;
-            e.failureForensics = got.failureForensics;
-            e.workerExit = res.describe();
-            if (got.failed &&
-                got.failureReason == StopReason::CheckFailure &&
-                attempt + 1 < max_attempts) {
-                continue; // the in-process retry contract
-            }
-            return e;
-        }
-        // Crash, OOM kill, exec failure, or a healthy-looking exit
-        // with no parseable report: retry, then record a structured
-        // worker-crash failure.
-        worker_exit = res.describe();
-        crash_message = "worker crashed (" + worker_exit + ")";
-        if (res.healthyExit())
-            crash_message = "worker " + worker_exit +
-                            " but wrote no parseable report";
-        if (!res.stderrTail.empty())
-            crash_message += ": " + res.stderrTail;
-    }
-
-    e.report = Report{};
-    e.report.stopReason = StopReason::WorkerCrash;
-    e.failed = true;
-    e.failureReason = StopReason::WorkerCrash;
-    e.failureMessage = crash_message;
-    e.workerExit = worker_exit;
-    return e;
 }
 
 } // namespace orion::core

@@ -18,11 +18,11 @@
  *    (CancelToken::armDeadline), so a wedged point stops with
  *    StopReason::Deadline instead of pinning a worker forever.
  *
- *  - **Retries and isolation.** Points run under the sweep's
- *    RetryPolicy (rederived seed per attempt). With
- *    ServerOptions::isolate a point runs in a forked orion_sim
- *    worker via core::runIsolated, so a crashing point (SIGSEGV)
- *    fails one job, not the daemon.
+ *  - **Retries and isolation.** Points run through the sweep's
+ *    core::PointRunner: the same RetryPolicy (rederived seed per
+ *    attempt) and, with ServerOptions::worker, the same forked
+ *    orion_sim workers, so a crashing point (SIGSEGV) fails one job,
+ *    not the daemon.
  *
  *  - **Caching.** With a ResultCache attached, each point is keyed
  *    by its single-point sweepFingerprint; hits skip the simulation
@@ -30,11 +30,10 @@
  *    round-trip through the hexfloat checkpoint format.
  *
  * Determinism contract: a point always runs as its own single-point
- * grid — attempt k uses sim::deriveSeed(seed, 0, k *
- * kRetrySeedOffset) regardless of the point's position in the
- * submitted rate list — so the same configuration always produces
- * the same bytes (and the same cache key) no matter how jobs are
- * batched.
+ * grid — the runner's coordinates are (0, 0) regardless of the
+ * point's position in the submitted rate list — so the same
+ * configuration always produces the same bytes (and the same cache
+ * key) no matter how jobs are batched, in process or isolated.
  *
  * Locking: one Mutex guards the queue, the job table, and the
  * counters. Simulations run with the lock released; no blocking I/O
@@ -48,6 +47,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -84,9 +84,9 @@ struct JobSpec
     /** Wall-clock budget for the whole job (0 = server default;
      * the default itself may be 0 = unbounded). */
     double timeoutSeconds = 0.0;
-    /** The submitted orion_sim-style flags, verbatim. Isolate mode
-     * re-execs orion_sim from these (plus --rate/--seed overrides,
-     * which win by coming last); in-process mode ignores them. */
+    /** The submitted orion_sim-style flags, verbatim. Isolated
+     * workers are exec'd with these (see core::workerArgs); in-process
+     * mode ignores them. */
     std::vector<std::string> argv;
 };
 
@@ -119,10 +119,9 @@ struct ServerOptions
     /** Default per-job deadline when the request names none
      * (0 = unbounded). */
     double defaultTimeoutSeconds = 0.0;
-    /** Run each point in a forked orion_sim worker. */
-    bool isolate = false;
-    /** Path to the orion_sim binary (isolate mode). */
-    std::string isolateExe;
+    /** Run each point in a forked orion_sim worker; each job's
+     * JobSpec::argv follows WorkerCommand::args. */
+    std::optional<WorkerCommand> worker;
     /** Optional persistent result cache (not owned). */
     ResultCache* cache = nullptr;
 };
@@ -192,17 +191,6 @@ class Server
     void workerMain() ORION_EXCLUDES(mutex_);
     /** Execute @p job (lock NOT held; only status updates lock). */
     void runJob(Job& job) ORION_EXCLUDES(mutex_);
-    /** One point, in process: sweep.cc's retry contract on a
-     * single-point grid. */
-    CheckpointEntry runPointInProcess(const JobSpec& spec, double rate,
-                                      CancelToken& job_token,
-                                      double deadline_seconds);
-    /** One point, in a forked orion_sim worker (isolate mode). */
-    CheckpointEntry runPointIsolated(const JobSpec& spec, double rate,
-                                     CancelToken& job_token,
-                                     double deadline_seconds,
-                                     std::uint64_t job_id,
-                                     std::size_t point_index);
 
     const ServerOptions opts_;
 
@@ -224,9 +212,6 @@ class Server
 
     std::vector<std::thread> workers_; // analyze-allow: unguarded -- ctor-spawn, drain-join only
     bool joined_ = false; // analyze-allow: unguarded -- drain() callers serialize (daemon main thread)
-    /** Scratch directory for isolate-mode worker reports (empty when
-     * isolation is off). */
-    std::string tmpDir_; // analyze-allow: unguarded -- written once in the constructor, read-only afterwards
 };
 
 } // namespace orion::core

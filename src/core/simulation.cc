@@ -1,7 +1,6 @@
 #include "core/simulation.hh"
 
 #include <cassert>
-#include <chrono>
 #include <cmath>
 #include <csignal>
 #include <sstream>
@@ -21,17 +20,6 @@ constexpr std::uint64_t kFaultSeedSalt = 0xFA17'5EEDULL;
 /** Cycles between live-progress counter publications (one relaxed
  * atomic store each; see SimConfig::progressCycles). */
 constexpr sim::Cycle kProgressCycleInterval = 4096;
-
-/** Monotonic wall clock for the opt-in phase profiler (observability
- * only; never feeds results). */
-double
-profileSeconds()
-{
-    const auto now =
-        std::chrono::steady_clock::now() // lint-allow: nondeterminism
-            .time_since_epoch();
-    return std::chrono::duration<double>(now).count();
-}
 
 } // namespace
 
@@ -237,11 +225,11 @@ Simulation::runProtocol(Report& r)
     // phase, nothing per cycle — the cycle-level attribution happens
     // inside Simulator::stepProfiled on its sampling stride).
     const bool prof = profiler_ != nullptr;
-    double mark = prof ? profileSeconds() : 0.0;
+    double mark = prof ? core::monotonicSeconds() : 0.0;
     const auto run_phase_done = [&](core::PhaseProfiler::Phase phase) {
         if (!prof)
             return;
-        const double now = profileSeconds();
+        const double now = core::monotonicSeconds();
         profiler_->addRunSeconds(phase, now - mark);
         mark = now;
     };

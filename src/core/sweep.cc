@@ -2,101 +2,24 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <ctime>
-#include <exception>
-#include <thread>
 #include <unordered_map>
 
 #include "core/executor.hh"
-#include "core/forensics.hh"
 #include "core/progress.hh"
-#include "sim/rng.hh"
 
 namespace orion {
 
 namespace {
 
-/** Monotonic seconds for per-cell resource accounting (observability
- * only; never journaled or compared). */
-double
-monotonicSeconds()
+/** One (rate, seed) cell: run fresh, merged from a resumed journal,
+ * or (default-constructed) never dispensed by a cancelled sweep. */
+struct Cell
 {
-    const auto t = std::chrono::steady_clock::now(); // lint-allow: nondeterminism
-    return std::chrono::duration<double>(t.time_since_epoch()).count();
-}
-
-/** CPU seconds consumed by the calling thread so far. */
-double
-threadCpuSeconds()
-{
-    timespec ts{};
-    if (::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) != 0)
-        return 0.0;
-    return static_cast<double>(ts.tv_sec) +
-           static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-
-/** What one (rate, seed) cell produced. */
-struct CellResult
-{
-    Report report;
-    std::optional<PointFailure> failure;
-    unsigned attempts = 1;
+    core::PointRun run;
     /** See SweepPoint::ran / SweepPoint::fromCheckpoint. */
     bool ran = false;
     bool fromCheckpoint = false;
-    /** Telemetry exports (only when captured — see runPoint). */
-    std::string metricsCsv;
-    std::string traceJson;
-    /** Execution cost (fresh runs only; see PointResources). */
-    PointResources resources;
 };
-
-/** A cell outcome worth journaling: deterministic given the seed.
- * Deadline/Interrupted stops depend on wall-clock/machine load and
- * must rerun on resume instead. */
-bool
-journalable(const CellResult& cell)
-{
-    const StopReason sr = cell.failure ? cell.failure->reason
-                                       : cell.report.stopReason;
-    return sr != StopReason::Deadline &&
-           sr != StopReason::Interrupted;
-}
-
-core::CheckpointEntry
-makeEntry(std::size_t rate_index, unsigned seed_index,
-          const CellResult& cell)
-{
-    core::CheckpointEntry e;
-    e.rateIndex = rate_index;
-    e.seedIndex = seed_index;
-    e.attempts = cell.attempts;
-    e.report = cell.report;
-    if (cell.failure) {
-        e.failed = true;
-        e.failureReason = cell.failure->reason;
-        e.failureMessage = cell.failure->message;
-        e.failureForensics = cell.failure->forensicsJson;
-    }
-    return e;
-}
-
-CellResult
-cellFromEntry(const core::CheckpointEntry& e)
-{
-    CellResult cell;
-    cell.report = e.report;
-    cell.attempts = e.attempts;
-    cell.ran = true;
-    cell.fromCheckpoint = true;
-    if (e.failed) {
-        cell.failure = PointFailure{e.failureReason, e.failureMessage,
-                                    e.failureForensics};
-    }
-    return cell;
-}
 
 /** (rate index, seed index) -> cached entry; duplicates last-wins
  * (repeated resumes re-journal nothing, but stay safe anyway). */
@@ -118,127 +41,59 @@ buildResumeIndex(const std::vector<core::CheckpointEntry>* entries,
     return index;
 }
 
-const core::CheckpointEntry*
-lookupResume(const ResumeIndex& index, std::size_t rate_index,
-             unsigned seed_index)
+/**
+ * Cell (@p i, @p k) at @p rate: merged from the resume cache when it
+ * holds one, else run by @p runner — whose failures come back as
+ * entries, never as exceptions into the worker pool, which would
+ * abort the whole sweep and discard every completed point. Fresh
+ * deterministic outcomes are journaled.
+ */
+Cell
+runCell(const core::PointRunner& runner, const SweepOptions& opts,
+        const ResumeIndex& cached, double rate, std::size_t i,
+        unsigned k)
 {
-    const auto it = index.find(
-        (static_cast<std::uint64_t>(rate_index) << 32) | seed_index);
-    return it == index.end() ? nullptr : it->second;
+    Cell cell;
+    cell.ran = true;
+    const auto hit =
+        cached.find((static_cast<std::uint64_t>(i) << 32) | k);
+    if (hit != cached.end()) {
+        cell.run.entry = *hit->second;
+        cell.fromCheckpoint = true;
+        if (opts.progress != nullptr)
+            opts.progress->noteCached();
+        return cell;
+    }
+    core::ProgressScope scope(opts.progress, i, k);
+    cell.run = runner.run(rate, i, k, opts.cancel,
+                          opts.pointTimeoutSeconds, &scope);
+    if (opts.journal != nullptr && core::journalable(cell.run.entry))
+        opts.journal->append(cell.run.entry);
+    // End after the journal append so a heartbeat's done count never
+    // exceeds the journal's entry count.
+    scope.end(cell.run.entry.failed);
+    return cell;
 }
 
-/**
- * Run one (rate index, seed index) cell with its derived RNG stream,
- * isolating failures: a check failure gets bounded retries on
- * rederived seeds (SweepOptions::retry), and any failure (including a
- * throwing constructor) is captured per-cell instead of propagating
- * into the worker pool — a worker exception would abort the whole
- * sweep and discard every completed point. A per-cell deadline and
- * the sweep-wide cancel token ride in via a chained CancelToken; a
- * token is installed on the simulation only when either is active,
- * so plain sweeps keep the token-free cycle loop.
- */
-CellResult
-runPoint(const NetworkConfig& network, const TrafficConfig& traffic,
-         const SimConfig& sim, double rate, std::size_t rate_index,
-         unsigned seed_index, bool capture_telemetry,
-         const SweepOptions& opts, core::ProgressScope* scope)
+SweepPoint
+toPoint(Cell cell, double rate)
 {
-    TrafficConfig t = traffic;
-    t.injectionRate = rate;
-
-    CellResult res;
-    res.ran = true;
-    const unsigned max_attempts =
-        std::max(1u, opts.retry.maxAttempts);
-    for (unsigned attempt = 0; attempt < max_attempts; ++attempt) {
-        // An interrupt between attempts ends the cell immediately:
-        // retrying a point nobody will wait for helps no one.
-        if (opts.cancel != nullptr && opts.cancel->cancelled()) {
-            res.report = Report{};
-            res.report.stopReason = StopReason::Interrupted;
-            res.failure = PointFailure{StopReason::Interrupted,
-                                       "sweep interrupted before the "
-                                       "cell could run",
-                                       std::string{}};
-            return res;
-        }
-        if (attempt > 0 && opts.retry.backoffMs > 0) {
-            std::this_thread::sleep_for(
-                std::chrono::milliseconds(opts.retry.backoffMs));
-        }
-
-        SimConfig s = sim;
-        const std::uint64_t band = attempt * kRetrySeedOffset;
-        s.seed = sim::deriveSeed(sim.seed, rate_index,
-                                 seed_index + band);
-        // The transient flavor of the poison drill only fails the
-        // first attempt, modelling a seed-dependent transient.
-        if (attempt > 0 && s.debugPoisonTransient)
-            s.debugPoisonRate = -1.0;
-        res.attempts = attempt + 1;
-        if (scope != nullptr) {
-            scope->setAttempt(res.attempts);
-            // Publish live cycle counts for the heartbeat thread.
-            // Observability only: the periodic hook this installs is
-            // a relaxed store, so results stay bit-identical.
-            s.progressCycles = scope->cycles();
-        }
-
-        core::CancelToken token(opts.cancel);
-        if (opts.pointTimeoutSeconds > 0.0)
-            token.armDeadline(opts.pointTimeoutSeconds);
-        if (opts.pointTimeoutSeconds > 0.0 ||
-            opts.cancel != nullptr) {
-            s.cancel = &token;
-        }
-
-        try {
-            Simulation run(network, t, s);
-            res.report = run.run();
-            if (capture_telemetry && s.telemetry.enabled()) {
-                res.metricsCsv = run.metricsCsv();
-                res.traceJson = run.traceJson(
-                    "rate " + std::to_string(rate) + " seed " +
-                    std::to_string(seed_index));
-            }
-            const StopReason sr = res.report.stopReason;
-            if (sr == StopReason::Deadline) {
-                // Not transient, not retried: a point that overran
-                // its wall-clock budget will overrun it again.
-                res.failure = PointFailure{
-                    StopReason::Deadline,
-                    "point exceeded its deadline after " +
-                        std::to_string(res.report.totalCycles) +
-                        " cycles",
-                    forensicSnapshot(run, "point deadline expired")};
-                return res;
-            }
-            if (sr == StopReason::Interrupted) {
-                res.failure = PointFailure{
-                    StopReason::Interrupted,
-                    "interrupted mid-run (SIGINT/SIGTERM)",
-                    std::string{}};
-                return res;
-            }
-            if (sr != StopReason::CheckFailure) {
-                res.failure.reset();
-                return res;
-            }
-            res.failure = PointFailure{
-                StopReason::CheckFailure,
-                res.report.checkFailureDiagnostic,
-                forensicSnapshot(run,
-                                 res.report.checkFailureDiagnostic)};
-        } catch (const std::exception& e) {
-            res.report = Report{};
-            res.report.stopReason = StopReason::CheckFailure;
-            res.report.checkFailureDiagnostic = e.what();
-            res.failure = PointFailure{StopReason::CheckFailure,
-                                       e.what(), std::string{}};
-        }
+    core::CheckpointEntry& e = cell.run.entry;
+    SweepPoint p;
+    p.injectionRate = rate;
+    p.report = std::move(e.report);
+    if (e.failed) {
+        p.failure = PointFailure{e.failureReason,
+                                 std::move(e.failureMessage),
+                                 std::move(e.failureForensics)};
     }
-    return res;
+    p.attempts = e.attempts;
+    p.ran = cell.ran;
+    p.fromCheckpoint = cell.fromCheckpoint;
+    p.metricsCsv = std::move(cell.run.metricsCsv);
+    p.traceJson = std::move(cell.run.traceJson);
+    p.resources = cell.run.resources;
+    return p;
 }
 
 } // namespace
@@ -248,6 +103,8 @@ Sweep::overRates(const NetworkConfig& network, const TrafficConfig& traffic,
                  const SimConfig& sim, const std::vector<double>& rates,
                  const SweepOptions& opts)
 {
+    const core::PointRunner runner(network, traffic, sim, opts.retry,
+                                   opts.worker);
     // Index-addressed capture: worker i writes only slot i, so the
     // merged vector is independent of completion order. WorkerSlots
     // makes that contract a checked capability instead of a comment.
@@ -258,39 +115,8 @@ Sweep::overRates(const NetworkConfig& network, const TrafficConfig& traffic,
         opts.jobs, rates.size(),
         [&](std::size_t i) {
             core::RoleGuard guard(points.role());
-            SweepPoint& p = points.slot(i);
-            p.injectionRate = rates[i];
-            CellResult cell;
-            if (const core::CheckpointEntry* e =
-                    lookupResume(cached, i, 0)) {
-                cell = cellFromEntry(*e);
-                if (opts.progress != nullptr)
-                    opts.progress->noteCached();
-            } else {
-                core::ProgressScope scope(opts.progress, i, 0);
-                const double wall0 = monotonicSeconds();
-                const double cpu0 = threadCpuSeconds();
-                cell = runPoint(network, traffic, sim, rates[i], i,
-                                0, /*capture_telemetry=*/true, opts,
-                                &scope);
-                cell.resources.valid = true;
-                cell.resources.wallSeconds =
-                    monotonicSeconds() - wall0;
-                cell.resources.cpuSeconds = threadCpuSeconds() - cpu0;
-                if (opts.journal != nullptr && journalable(cell))
-                    opts.journal->append(makeEntry(i, 0, cell));
-                // End after the journal append so a heartbeat's done
-                // count never exceeds the journal's entry count.
-                scope.end(cell.failure.has_value());
-            }
-            p.report = std::move(cell.report);
-            p.failure = std::move(cell.failure);
-            p.attempts = cell.attempts;
-            p.ran = cell.ran;
-            p.fromCheckpoint = cell.fromCheckpoint;
-            p.metricsCsv = std::move(cell.metricsCsv);
-            p.traceJson = std::move(cell.traceJson);
-            p.resources = cell.resources;
+            points.slot(i) = toPoint(
+                runCell(runner, opts, cached, rates[i], i, 0), rates[i]);
         },
         opts.cancel);
     std::vector<SweepPoint> out = std::move(points).take();
@@ -310,42 +136,25 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
 {
     assert(num_seeds >= 1);
 
+    const core::PointRunner runner(network, traffic, sim, opts.retry,
+                                   opts.worker);
     // Fan out over the flattened (rate, seed) grid — finer-grained
     // than per-rate fan-out, so a few rates with many seeds still
     // saturate the pool.
     const ResumeIndex cached =
         buildResumeIndex(opts.resume, rates.size(), num_seeds);
-    core::WorkerSlots<CellResult> cells(rates.size() * num_seeds);
+    core::WorkerSlots<Cell> cells(rates.size() * num_seeds);
     core::parallelFor(
         opts.jobs, rates.size() * num_seeds,
         [&](std::size_t cell) {
             const std::size_t i = cell / num_seeds;
             const unsigned k = static_cast<unsigned>(cell % num_seeds);
             core::RoleGuard guard(cells.role());
-            if (const core::CheckpointEntry* e =
-                    lookupResume(cached, i, k)) {
-                cells.slot(cell) = cellFromEntry(*e);
-                if (opts.progress != nullptr)
-                    opts.progress->noteCached();
-                return;
-            }
-            core::ProgressScope scope(opts.progress, i, k);
-            const double wall0 = monotonicSeconds();
-            const double cpu0 = threadCpuSeconds();
-            CellResult res = runPoint(network, traffic, sim,
-                                      rates[i], i, k,
-                                      /*capture_telemetry=*/true,
-                                      opts, &scope);
-            res.resources.valid = true;
-            res.resources.wallSeconds = monotonicSeconds() - wall0;
-            res.resources.cpuSeconds = threadCpuSeconds() - cpu0;
-            if (opts.journal != nullptr && journalable(res))
-                opts.journal->append(makeEntry(i, k, res));
-            scope.end(res.failure.has_value());
-            cells.slot(cell) = std::move(res);
+            cells.slot(cell) =
+                runCell(runner, opts, cached, rates[i], i, k);
         },
         opts.cancel);
-    std::vector<CellResult> grid = std::move(cells).take();
+    std::vector<Cell> grid = std::move(cells).take();
 
     // Deterministic merge: aggregate each rate's seeds in seed order,
     // on the calling thread, so the floating-point accumulation order
@@ -362,22 +171,23 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
         avg.allCompleted = true;
         unsigned ok = 0;
         for (unsigned k = 0; k < num_seeds; ++k) {
-            CellResult& cell = grid[i * num_seeds + k];
+            Cell& cell = grid[i * num_seeds + k];
+            const core::CheckpointEntry& e = cell.run.entry;
             // Telemetry merges for every seed (empty for failed
             // seeds), keeping seed indexes aligned for per-seed
             // export directories.
             avg.metricsCsvBySeed.push_back(
-                std::move(cell.metricsCsv));
-            avg.traceJsonBySeed.push_back(std::move(cell.traceJson));
-            avg.attemptsBySeed.push_back(cell.ran ? cell.attempts
-                                                  : 0);
-            if (cell.resources.valid) {
+                std::move(cell.run.metricsCsv));
+            avg.traceJsonBySeed.push_back(
+                std::move(cell.run.traceJson));
+            avg.attemptsBySeed.push_back(cell.ran ? e.attempts : 0);
+            const PointResources& rs = cell.run.resources;
+            if (rs.valid) {
                 avg.resources.valid = true;
-                avg.resources.wallSeconds +=
-                    cell.resources.wallSeconds;
-                avg.resources.cpuSeconds += cell.resources.cpuSeconds;
-                avg.resources.maxRssKb = std::max(
-                    avg.resources.maxRssKb, cell.resources.maxRssKb);
+                avg.resources.wallSeconds += rs.wallSeconds;
+                avg.resources.cpuSeconds += rs.cpuSeconds;
+                avg.resources.maxRssKb =
+                    std::max(avg.resources.maxRssKb, rs.maxRssKb);
             }
             // A cell the cancelled sweep never dispensed is neither a
             // success nor a failure; it just hasn't run yet.
@@ -386,14 +196,14 @@ Sweep::overRatesAveraged(const NetworkConfig& network,
                 continue;
             }
             ++avg.ranSeeds;
-            if (cell.failure) {
+            if (e.failed) {
                 ++avg.failedSeeds;
                 if (avg.firstFailure.empty())
-                    avg.firstFailure = cell.failure->message;
+                    avg.firstFailure = e.failureMessage;
                 avg.allCompleted = false;
                 continue;
             }
-            const Report& r = cell.report;
+            const Report& r = e.report;
             avg.allCompleted = avg.allCompleted && r.completed;
             avg.meanLatency += r.avgLatencyCycles;
             avg.meanPowerWatts += r.networkPowerWatts;

@@ -19,6 +19,7 @@
 #include "core/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/config.hh"
+#include "core/point_runner.hh"
 #include "core/simulation.hh"
 
 namespace orion::core {
@@ -26,26 +27,6 @@ class ProgressTracker;
 } // namespace orion::core
 
 namespace orion {
-
-/**
- * Wall/CPU/memory cost of executing one sweep cell, measured on the
- * worker that ran it (observability only — never journaled, excluded
- * from determinism comparisons; the values depend on machine load).
- * `valid` is false for cached (resumed) cells and cells that never
- * ran.
- */
-struct PointResources
-{
-    bool valid = false;
-    /** Wall-clock seconds spent on the cell (all attempts). */
-    double wallSeconds = 0.0;
-    /** CPU seconds consumed — thread CPU time for in-process cells,
-     * child user+system time (wait4 rusage) for isolated cells. */
-    double cpuSeconds = 0.0;
-    /** Peak resident set in kilobytes, when known (isolated cells
-     * only — ru_maxrss of the worker process); 0 otherwise. */
-    long maxRssKb = 0;
-};
 
 /**
  * A failed sweep point, isolated from its siblings: the sweep finishes
@@ -63,33 +44,6 @@ struct PointFailure
      * core/forensics.hh); empty if the simulation never got built. */
     std::string forensicsJson;
 };
-
-/**
- * Bounded retry of a failed sweep cell. Attempt k reruns the cell on
- * the rederived seed stream sim::deriveSeed(seed, rate index,
- * seed index + k * 2^32) — disjoint from every sibling cell — so
- * transient, seed-dependent failures recover while results stay
- * deterministic. Shared by the in-process and --isolate execution
- * modes; the default (2 attempts, no backoff) reproduces the
- * historical "one rederived-seed retry" exactly.
- */
-struct RetryPolicy
-{
-    /** Total attempts per cell (>= 1; 1 disables retry). */
-    unsigned maxAttempts = 2;
-    /** Milliseconds slept before each retry attempt, easing transient
-     * resource pressure (ENOMEM, thrashing). 0 = none. */
-    unsigned backoffMs = 0;
-};
-
-/**
- * Retry attempts rederive the seed in a disjoint seed-index band —
- * attempt k runs on sim::deriveSeed(seed, rate index, seed index +
- * k * kRetrySeedOffset) — so a retried cell cannot collide with any
- * sibling cell's stream. Public so `orion_sweep --isolate` derives
- * the exact same streams when it re-invokes a crashed worker.
- */
-constexpr std::uint64_t kRetrySeedOffset = 1ULL << 32;
 
 /** One point of an injection-rate sweep. */
 struct SweepPoint
@@ -176,6 +130,14 @@ struct SweepOptions
      * outside the simulated machine. See core/progress.hh.
      */
     core::ProgressTracker* progress = nullptr;
+    /**
+     * Run every cell in its own fork/exec'd orion_sim instead of in
+     * process (see core::PointRunner): a crashing, OOMing or wedged
+     * cell becomes one failed point with StopReason::WorkerCrash or
+     * Deadline. Results are byte-identical to in-process ones.
+     * Telemetry is not captured from workers.
+     */
+    std::optional<core::WorkerCommand> worker;
 
     /** Options with only a worker count set — the common call-site
      * shape (avoids missing-field-initializer noise now that the

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/hash.hh"
 #include "core/telemetry.hh"
 
 namespace orion::net {
@@ -15,19 +16,6 @@ namespace {
  * collide with sweep-point or traffic streams. */
 constexpr std::uint64_t kLinkStreamSalt = 0xFA17'0001ULL;
 constexpr std::uint64_t kOutagePickSalt = 0xFA17'0002ULL;
-
-constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
-constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
-
-std::uint64_t
-fnv1a(std::uint64_t h, std::uint64_t v)
-{
-    for (unsigned i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xffu;
-        h *= kFnvPrime;
-    }
-    return h;
-}
 
 } // namespace
 
@@ -83,7 +71,7 @@ FaultInjector::FaultInjector(const FaultConfig& config,
     : config_(config),
       seed_(seed),
       flitBits_(flit_bits),
-      logHash_(kFnvOffset)
+      logHash_(core::kFnvOffset)
 {
     assert(flit_bits >= 1);
     config_.validate();
@@ -156,10 +144,10 @@ FaultInjector::record(FaultKind kind, unsigned link,
 {
     const FaultEvent ev{now, kind, link, flit.packet->id};
     ++eventCount_;
-    logHash_ = fnv1a(logHash_, ev.cycle);
-    logHash_ = fnv1a(logHash_, static_cast<std::uint64_t>(ev.kind));
-    logHash_ = fnv1a(logHash_, ev.link);
-    logHash_ = fnv1a(logHash_, ev.packetId);
+    logHash_ = core::fnv1a64(ev.cycle, logHash_);
+    logHash_ = core::fnv1a64(static_cast<std::uint64_t>(ev.kind), logHash_);
+    logHash_ = core::fnv1a64(ev.link, logHash_);
+    logHash_ = core::fnv1a64(ev.packetId, logHash_);
     if (log_.size() < config_.maxLogEntries)
         log_.push_back(ev);
     if (tracer_) {

@@ -37,7 +37,9 @@
 #                is SIGKILLed mid-job on a second cache, restarted,
 #                and re-asked: the answer must come partly from cache
 #                (stats prove hits) and be byte-identical to the
-#                uninterrupted reference; then admission control is
+#                uninterrupted reference; a daemon running every
+#                point in a forked orion_sim (--isolate) must return
+#                the same bytes; then admission control is
 #                exercised (a tiny queue bound must reject with the
 #                structured queue_full code) and a malformed
 #                submission must be rejected as invalid_config
@@ -304,7 +306,7 @@ if run_leg serve; then
     echo "== serve: daemon SIGKILL/restart, cache byte-identity =="
     cmake -B "$root/build" -S "$root"
     cmake --build "$root/build" -j "$jobs" \
-        --target orion_served orion_submit
+        --target orion_served orion_submit orion_sim
     vdir="$root/build/serve"
     rm -rf "$vdir"
     mkdir -p "$vdir"
@@ -354,6 +356,21 @@ assert m["server"]["completed"] == 1, m
 assert m["server"]["points_computed"] == 6, m
 print("drain: shutdown manifest accounts for the reference job")
 EOF
+
+    # Isolated: the same grid, every point in a forked orion_sim
+    # worker, must return the reference bytes exactly.
+    sock="$vdir/iso.sock"
+    "$served" --socket "$sock" --cache-dir "$vdir/cache-iso" \
+        --workers 2 --isolate "$root/build/tools/orion_sim" \
+        2> "$vdir/iso.log" &
+    daemon=$!
+    wait_ready
+    "$submit" --socket "$sock" submit --rates "$rates" --wait \
+        --out "$vdir/iso.txt" -- $simargs > /dev/null
+    kill -TERM "$daemon"
+    wait "$daemon"
+    cmp "$vdir/ref.txt" "$vdir/iso.txt"
+    echo "isolated result byte-identical to the in-process reference"
 
     # Victim: same grid on a fresh cache, SIGKILLed once at least one
     # point has landed, then restarted on the same cache directory.

@@ -62,7 +62,7 @@ struct DaemonOptions
     double defaultTimeoutSeconds = 0.0;
     unsigned retries = 2;
     unsigned backoffMs = 0;
-    bool isolate = false;
+    /** The orion_sim binary for --isolate; empty runs in process. */
     std::string isolateExe;
     std::string manifestOut;
     std::string logOut;
@@ -143,7 +143,6 @@ parseDaemonArgs(const std::vector<std::string>& args)
         } else if (a == "--backoff-ms") {
             o.backoffMs = static_cast<unsigned>(needU64(i)); ++i;
         } else if (a == "--isolate") {
-            o.isolate = true;
             o.isolateExe = need(i); ++i;
         } else if (a == "--manifest-out") {
             o.manifestOut = need(i); ++i;
@@ -162,27 +161,6 @@ parseDaemonArgs(const std::vector<std::string>& args)
     if (o.cacheSegmentEntries == 0)
         usageError("--cache-segment-entries must be >= 1");
     return o;
-}
-
-/** Flags never forwarded to isolate-mode workers (observability
- * sinks would collide across workers; mirrors orion_sweep). */
-std::vector<std::string>
-stripWorkerFlags(const std::vector<std::string>& args)
-{
-    std::vector<std::string> out;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (a == "--log-out" || a == "--log-level" ||
-            a == "--manifest-out" || a == "--report-out" ||
-            a == "--metrics-out" || a == "--trace-out") {
-            ++i; // skip the value too
-            continue;
-        }
-        if (a == "--profile-phases")
-            continue;
-        out.push_back(a);
-    }
-    return out;
 }
 
 /** Read one request line (up to kMaxRequestBytes) from @p fd. */
@@ -285,8 +263,10 @@ handleSubmit(const orion::core::proto::Request& req, Server& server,
         return proto::errorReply("invalid_config", e.what());
     }
     spec.timeoutSeconds = req.timeoutSeconds;
-    if (dopts.isolate)
-        spec.argv = stripWorkerFlags(req.args);
+    // Only isolated workers read the flags; in-process jobs leave
+    // them out, since the server keeps every finished job.
+    if (!dopts.isolateExe.empty())
+        spec.argv = req.args;
 
     std::string code;
     std::string message;
@@ -436,8 +416,9 @@ daemonMain(const DaemonOptions& dopts)
     sopts.retry.maxAttempts = dopts.retries;
     sopts.retry.backoffMs = dopts.backoffMs;
     sopts.defaultTimeoutSeconds = dopts.defaultTimeoutSeconds;
-    sopts.isolate = dopts.isolate;
-    sopts.isolateExe = dopts.isolateExe;
+    if (!dopts.isolateExe.empty())
+        sopts.worker = orion::core::WorkerCommand{dopts.isolateExe, {},
+                                                  0, 0};
     sopts.cache = cache.get();
     Server server(sopts);
 

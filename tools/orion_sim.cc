@@ -35,9 +35,9 @@
 #include "core/cancel.hh"
 #include "core/checkpoint.hh"
 #include "core/cli.hh"
-#include "core/forensics.hh"
 #include "core/log.hh"
 #include "core/manifest.hh"
+#include "core/point_runner.hh"
 
 namespace {
 
@@ -92,48 +92,6 @@ writeFile(const std::string& path, const std::string& content)
         throw IoError("orion_sim: i/o error writing '" + path +
                       "' (disk full or stream closed?)");
     }
-}
-
-/**
- * The machine-mergeable report line for --report-out: the checkpoint
- * entry wire format, with the failure triage mirroring what the
- * in-process sweep records — so `orion_sweep --isolate` merges a
- * worker's result bit-identically with an in-process run.
- * Coordinates are written as (0, 0); the parent rewrites them.
- */
-orion::core::CheckpointEntry
-reportEntry(orion::Simulation& simulation, const orion::Report& report)
-{
-    using orion::StopReason;
-    orion::core::CheckpointEntry e;
-    e.report = report;
-    switch (report.stopReason) {
-    case StopReason::CheckFailure:
-        e.failed = true;
-        e.failureReason = StopReason::CheckFailure;
-        e.failureMessage = report.checkFailureDiagnostic;
-        e.failureForensics = orion::forensicSnapshot(
-            simulation, report.checkFailureDiagnostic);
-        break;
-    case StopReason::Deadline:
-        e.failed = true;
-        e.failureReason = StopReason::Deadline;
-        e.failureMessage = "point exceeded its deadline after " +
-                           std::to_string(report.totalCycles) +
-                           " cycles";
-        e.failureForensics =
-            orion::forensicSnapshot(simulation,
-                                    "point deadline expired");
-        break;
-    case StopReason::Interrupted:
-        e.failed = true;
-        e.failureReason = StopReason::Interrupted;
-        e.failureMessage = "interrupted mid-run (SIGINT/SIGTERM)";
-        break;
-    default:
-        break;
-    }
-    return e;
 }
 
 } // namespace
@@ -200,9 +158,12 @@ main(int argc, char** argv)
         if (!opts.traceOut.empty())
             writeFile(opts.traceOut, simulation.traceJson("orion_sim"));
         if (!opts.reportOut.empty()) {
+            // The checkpoint entry wire format at (0, 0), triaged as
+            // the in-process sweep does, so an isolated sweep merges
+            // this worker's result byte-identically.
             writeFile(opts.reportOut,
                       core::serializeEntry(
-                          reportEntry(simulation, report)) +
+                          core::triage(simulation, report)) +
                           "\n");
         }
 
