@@ -174,7 +174,7 @@ HealthMonitor::buildDetour(int src, int dst) const
             run_wraps = false;
         }
         if (topo_.wrapped()) {
-            const unsigned coord = topo_.coordsOf(at)[dim];
+            const unsigned coord = topo_.coordOf(at, dim);
             const unsigned radix = topo_.radix(dim);
             if (topo_.portIsPlus(port) ? coord == radix - 1
                                        : coord == 0) {

@@ -22,20 +22,6 @@ componentClassName(ComponentClass c)
 
 namespace {
 
-constexpr std::array<sim::EventType, 9> kMonitoredEvents = {
-    sim::EventType::BufferWrite,
-    sim::EventType::BufferRead,
-    sim::EventType::Arbitration,
-    sim::EventType::VcAllocation,
-    sim::EventType::CrossbarTraversal,
-    sim::EventType::CentralBufferWrite,
-    sim::EventType::CentralBufferRead,
-    sim::EventType::LinkTraversal,
-    // Counted for statistics; credit wires carry negligible energy
-    // and the paper attributes none to them.
-    sim::EventType::CreditTransfer,
-};
-
 /** Clamp a monitored delta into the range a model accepts. */
 unsigned
 clampDelta(std::uint32_t delta, unsigned limit)
@@ -44,6 +30,77 @@ clampDelta(std::uint32_t delta, unsigned limit)
 }
 
 } // namespace
+
+template <sim::EventType T>
+void
+PowerMonitor::onEvent(const sim::Event& ev)
+{
+    using E = sim::EventType;
+    ++eventCounts_[static_cast<unsigned>(T)];
+
+    if constexpr (T == E::BufferWrite) {
+        const unsigned f = limits_.bufferBits;
+        accumulate(ev.node, ComponentClass::Buffer,
+                   models_.buffer->writeEnergy(clampDelta(ev.deltaA, f),
+                                               clampDelta(ev.deltaB, f)));
+    } else if constexpr (T == E::BufferRead) {
+        accumulate(ev.node, ComponentClass::Buffer,
+                   models_.buffer->readEnergy());
+    } else if constexpr (T == E::Arbitration) {
+        if (!models_.switchArbiter)
+            return;
+        accumulate(ev.node, ComponentClass::Arbiter,
+                   models_.switchArbiter->arbitrationEnergy(
+                       clampDelta(ev.deltaA, limits_.switchRequests),
+                       clampDelta(ev.deltaB, limits_.switchPriority)));
+    } else if constexpr (T == E::VcAllocation) {
+        if (!models_.vcArbiter)
+            return;
+        accumulate(ev.node, ComponentClass::Arbiter,
+                   models_.vcArbiter->arbitrationEnergy(
+                       clampDelta(ev.deltaA, limits_.vcRequests),
+                       clampDelta(ev.deltaB, limits_.vcPriority)));
+    } else if constexpr (T == E::CrossbarTraversal) {
+        if (!models_.crossbar)
+            return;
+        accumulate(ev.node, ComponentClass::Crossbar,
+                   models_.crossbar->traversalEnergy(
+                       clampDelta(ev.deltaA, limits_.crossbarWidth)));
+    } else if constexpr (T == E::CentralBufferWrite) {
+        if (!models_.centralBuffer)
+            return;
+        const unsigned f = limits_.centralBufferBits;
+        const unsigned bits = clampDelta(ev.deltaA, f);
+        accumulate(ev.node, ComponentClass::CentralBuffer,
+                   models_.centralBuffer->writeEnergy(
+                       bits, bits, clampDelta(ev.deltaB, f)));
+    } else if constexpr (T == E::CentralBufferRead) {
+        if (!models_.centralBuffer)
+            return;
+        accumulate(ev.node, ComponentClass::CentralBuffer,
+                   models_.centralBuffer->readEnergy(
+                       clampDelta(ev.deltaA,
+                                  limits_.centralBufferBits)));
+    } else if constexpr (T == E::LinkTraversal) {
+        if (!models_.onChipLink)
+            return; // chip-to-chip links are traffic-insensitive
+        accumulate(ev.node, ComponentClass::Link,
+                   models_.onChipLink->traversalEnergy(
+                       clampDelta(ev.deltaA, limits_.linkWidth)));
+    }
+}
+
+template <sim::EventType T>
+void
+PowerMonitor::subscribe(sim::EventBus& bus)
+{
+    bus.subscribeRaw(
+        T,
+        [](void* ctx, const sim::Event& ev) {
+            static_cast<PowerMonitor*>(ctx)->onEvent<T>(ev);
+        },
+        this);
+}
 
 PowerMonitor::PowerMonitor(sim::EventBus& bus, PowerModelSet models,
                            unsigned num_nodes, unsigned links_per_node)
@@ -58,16 +115,40 @@ PowerMonitor::PowerMonitor(sim::EventBus& bus, PowerModelSet models,
     for (auto& node : energy_)
         node.fill(0.0);
 
-    // Raw subscription: the monitor sees millions of events per run,
-    // so dispatch must stay a direct function-pointer call.
-    for (const auto type : kMonitoredEvents) {
-        bus.subscribeRaw(
-            type,
-            [](void* ctx, const sim::Event& ev) {
-                static_cast<PowerMonitor*>(ctx)->onEvent(ev);
-            },
-            this);
+    limits_.bufferBits = models_.buffer->params().flitBits;
+    if (const auto* m = models_.switchArbiter.get()) {
+        limits_.switchRequests = m->params().requests;
+        limits_.switchPriority = std::max(m->priorityFlipFlops(), 2u);
     }
+    if (const auto* m = models_.vcArbiter.get()) {
+        limits_.vcRequests = m->params().requests;
+        limits_.vcPriority = std::max(m->priorityFlipFlops(), 2u);
+    }
+    if (models_.crossbar)
+        limits_.crossbarWidth = models_.crossbar->params().width;
+    if (models_.centralBuffer) {
+        limits_.centralBufferBits =
+            models_.centralBuffer->params().flitBits;
+    }
+    if (models_.onChipLink)
+        limits_.linkWidth = models_.onChipLink->width();
+
+    // Raw subscription: the monitor sees millions of events per run,
+    // so dispatch must stay a direct function-pointer call. Each type
+    // gets its own trampoline: every emit site then calls one fixed
+    // target, and the handler needs no switch on the type.
+    using E = sim::EventType;
+    subscribe<E::BufferWrite>(bus);
+    subscribe<E::BufferRead>(bus);
+    subscribe<E::Arbitration>(bus);
+    subscribe<E::VcAllocation>(bus);
+    subscribe<E::CrossbarTraversal>(bus);
+    subscribe<E::CentralBufferWrite>(bus);
+    subscribe<E::CentralBufferRead>(bus);
+    subscribe<E::LinkTraversal>(bus);
+    // Counted for statistics; credit wires carry negligible energy
+    // and the paper attributes none to them.
+    subscribe<E::CreditTransfer>(bus);
 }
 
 void
@@ -80,88 +161,6 @@ PowerMonitor::accumulate(int node, ComponentClass c, double joules)
                 "negative event energy " << joules << " J for node "
                     << node << " class " << componentClassName(c));
     energy_[node][static_cast<unsigned>(c)] += joules;
-}
-
-void
-PowerMonitor::onEvent(const sim::Event& ev)
-{
-    ++eventCounts_[static_cast<unsigned>(ev.type)];
-
-    switch (ev.type) {
-      case sim::EventType::BufferWrite: {
-        const unsigned f = models_.buffer->params().flitBits;
-        accumulate(ev.node, ComponentClass::Buffer,
-                   models_.buffer->writeEnergy(clampDelta(ev.deltaA, f),
-                                               clampDelta(ev.deltaB, f)));
-        break;
-      }
-      case sim::EventType::BufferRead:
-        accumulate(ev.node, ComponentClass::Buffer,
-                   models_.buffer->readEnergy());
-        break;
-      case sim::EventType::Arbitration: {
-        if (!models_.switchArbiter)
-            break;
-        const auto& m = *models_.switchArbiter;
-        const unsigned r = m.params().requests;
-        const unsigned max_pri = std::max(m.priorityFlipFlops(), 2u);
-        accumulate(ev.node, ComponentClass::Arbiter,
-                   m.arbitrationEnergy(clampDelta(ev.deltaA, r),
-                                       clampDelta(ev.deltaB, max_pri)));
-        break;
-      }
-      case sim::EventType::VcAllocation: {
-        if (!models_.vcArbiter)
-            break;
-        const auto& m = *models_.vcArbiter;
-        const unsigned r = m.params().requests;
-        const unsigned max_pri = std::max(m.priorityFlipFlops(), 2u);
-        accumulate(ev.node, ComponentClass::Arbiter,
-                   m.arbitrationEnergy(clampDelta(ev.deltaA, r),
-                                       clampDelta(ev.deltaB, max_pri)));
-        break;
-      }
-      case sim::EventType::CrossbarTraversal: {
-        if (!models_.crossbar)
-            break;
-        const unsigned w = models_.crossbar->params().width;
-        accumulate(
-            ev.node, ComponentClass::Crossbar,
-            models_.crossbar->traversalEnergy(clampDelta(ev.deltaA, w)));
-        break;
-      }
-      case sim::EventType::CentralBufferWrite: {
-        if (!models_.centralBuffer)
-            break;
-        const unsigned f = models_.centralBuffer->params().flitBits;
-        const unsigned bits = clampDelta(ev.deltaA, f);
-        accumulate(ev.node, ComponentClass::CentralBuffer,
-                   models_.centralBuffer->writeEnergy(
-                       bits, bits, clampDelta(ev.deltaB, f)));
-        break;
-      }
-      case sim::EventType::CentralBufferRead: {
-        if (!models_.centralBuffer)
-            break;
-        const unsigned f = models_.centralBuffer->params().flitBits;
-        accumulate(ev.node, ComponentClass::CentralBuffer,
-                   models_.centralBuffer->readEnergy(
-                       clampDelta(ev.deltaA, f)));
-        break;
-      }
-      case sim::EventType::LinkTraversal: {
-        if (!models_.onChipLink)
-            break; // chip-to-chip links are traffic-insensitive
-        const unsigned w = models_.onChipLink->width();
-        accumulate(
-            ev.node, ComponentClass::Link,
-            models_.onChipLink->traversalEnergy(
-                clampDelta(ev.deltaA, w)));
-        break;
-      }
-      default:
-        break;
-    }
 }
 
 double

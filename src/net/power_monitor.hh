@@ -116,10 +116,32 @@ class PowerMonitor
     void reset();
 
   private:
+    /** Subscribe onEvent<T> to @p bus. */
+    template <sim::EventType T>
+    void subscribe(sim::EventBus& bus);
+    /** Account one event of type @p T. */
+    template <sim::EventType T>
     void onEvent(const sim::Event& ev);
     void accumulate(int node, ComponentClass c, double joules);
 
     PowerModelSet models_;
+    /**
+     * Upper bounds each event's deltas are clamped to, read from the
+     * models once at construction instead of on every event (0 where
+     * the model is absent).
+     */
+    struct DeltaLimits
+    {
+        unsigned bufferBits = 0;
+        unsigned switchRequests = 0;
+        unsigned switchPriority = 0;
+        unsigned vcRequests = 0;
+        unsigned vcPriority = 0;
+        unsigned crossbarWidth = 0;
+        unsigned centralBufferBits = 0;
+        unsigned linkWidth = 0;
+    };
+    DeltaLimits limits_;
     unsigned numNodes_;
     unsigned linksPerNode_;
     /** energy_[node][class] in joules. */

@@ -14,6 +14,10 @@ DorRouting::DorRouting(const Topology& topo,
       tieBreak_(tie_break)
 {
     assert(dimOrder_.size() == topo.dimensions());
+    for (unsigned d = 0; d < topo.dimensions(); ++d) {
+        const unsigned k = topo.radix(d);
+        maxHops_ += topo.wrapped() ? k / 2 : k - 1;
+    }
 }
 
 std::vector<unsigned>
@@ -40,22 +44,25 @@ DorRouting::routeInto(int src, int dst, sim::Rng& rng,
 {
     assert(src != dst);
     hops.clear();
+    hops.reserve(maxHops_);
 
-    Coord cur = topo_.coordsOf(src);
-    const Coord goal = topo_.coordsOf(dst);
-
+    // Dimension-ordered: each pass moves along one dimension only, so
+    // the route is built from one coordinate pair per dimension (no
+    // per-packet coordinate vectors).
     for (unsigned d : dimOrder_) {
         const unsigned k = topo_.radix(d);
-        if (cur[d] == goal[d])
+        unsigned cur = topo_.coordOf(src, d);
+        const unsigned goal = topo_.coordOf(dst, d);
+        if (cur == goal)
             continue;
 
         // Choose direction: minimal on a torus (random tie-break at
         // exactly half way), sign of the offset on a mesh.
-        const unsigned fwd = (goal[d] + k - cur[d]) % k;
+        const unsigned fwd = (goal + k - cur) % k;
         const unsigned bwd = k - fwd;
         bool plus;
         if (!topo_.wrapped())
-            plus = goal[d] > cur[d];
+            plus = goal > cur;
         else if (fwd < bwd)
             plus = true;
         else if (bwd < fwd)
@@ -63,7 +70,7 @@ DorRouting::routeInto(int src, int dst, sim::Rng& rng,
         else if (tieBreak_ == TieBreak::PreferWrap)
             // Exactly one direction of a half-way tie crosses the
             // wraparound edge: + iff the path passes coordinate k-1.
-            plus = cur[d] + fwd >= k;
+            plus = cur + fwd >= k;
         else
             plus = rng.chance(0.5);
 
@@ -75,7 +82,7 @@ DorRouting::routeInto(int src, int dst, sim::Rng& rng,
         if (deadlock_ == router::DeadlockMode::Dateline &&
             topo_.wrapped()) {
             const bool crosses =
-                plus ? cur[d] + steps >= k : cur[d] < steps;
+                plus ? cur + steps >= k : cur < steps;
             vc_class = crosses ? 1 : 0;
         }
 
@@ -83,10 +90,10 @@ DorRouting::routeInto(int src, int dst, sim::Rng& rng,
             static_cast<std::uint8_t>(topo_.port(d, plus));
         for (unsigned s = 0; s < steps; ++s) {
             hops.push_back(router::RouteHop{port, vc_class, s == 0});
-            cur[d] = plus ? (cur[d] + 1) % k : (cur[d] + k - 1) % k;
+            cur = plus ? (cur + 1) % k : (cur + k - 1) % k;
         }
+        assert(cur == goal);
     }
-    assert(cur == goal);
 
     // Ejection hop at the destination router.
     hops.push_back(router::RouteHop{

@@ -87,6 +87,9 @@ class DorRouting
     std::vector<unsigned> dimOrder_;
     router::DeadlockMode deadlock_;
     TieBreak tieBreak_;
+    /** Longest minimal route, ejection hop included: a recycled
+     * route vector reserved to it once never reallocates. */
+    std::size_t maxHops_ = 1;
 };
 
 } // namespace orion::net

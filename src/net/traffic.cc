@@ -39,10 +39,8 @@ TrafficGenerator::injects(int node) const
     switch (params_.pattern) {
       case TrafficPattern::Broadcast:
         return node == params_.broadcastSource;
-      case TrafficPattern::Transpose: {
-        const Coord c = topo_.coordsOf(node);
-        return c[0] != c[1];
-      }
+      case TrafficPattern::Transpose:
+        return topo_.coordOf(node, 0) != topo_.coordOf(node, 1);
       case TrafficPattern::BitComplement:
         return node != static_cast<int>(topo_.numNodes()) - 1 - node;
       case TrafficPattern::Tornado: {

@@ -1,7 +1,6 @@
 #include "power/activity.hh"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 
 namespace orion::power {
@@ -24,54 +23,30 @@ BitVec::BitVec(unsigned width, std::uint64_t low_word)
     }
 }
 
-BitVec::BitVec(const BitVec& o)
-    : width_(o.width_), words_(o.words_)
+void
+BitVec::copyHeapFrom(const BitVec& o)
 {
-    if (words_ > kInlineWords)
-        heap_ = std::make_unique<std::uint64_t[]>(words_);
-    std::copy_n(o.data(), words_, data());
+    heap_ = std::make_unique<std::uint64_t[]>(words_);
+    std::copy_n(o.heap_.get(), words_, heap_.get());
 }
 
-BitVec::BitVec(BitVec&& o) noexcept
-    : width_(o.width_),
-      words_(o.words_),
-      inline_(o.inline_),
-      heap_(std::move(o.heap_))
-{
-    o.width_ = 0;
-    o.words_ = 0;
-}
-
-BitVec&
-BitVec::operator=(const BitVec& o)
+void
+BitVec::assignSlow(const BitVec& o)
 {
     if (this == &o)
-        return *this;
-    if (o.words_ > kInlineWords) {
+        return;
+    if (o.heap_) {
         // Reuse an existing heap buffer of sufficient size.
         if (!heap_ || words_ < o.words_)
             heap_ = std::make_unique<std::uint64_t[]>(o.words_);
+        std::copy_n(o.heap_.get(), o.words_, heap_.get());
+        inline_.fill(0);
     } else {
         heap_.reset();
+        inline_ = o.inline_;
     }
     width_ = o.width_;
     words_ = o.words_;
-    std::copy_n(o.data(), words_, data());
-    return *this;
-}
-
-BitVec&
-BitVec::operator=(BitVec&& o) noexcept
-{
-    if (this == &o)
-        return *this;
-    width_ = o.width_;
-    words_ = o.words_;
-    inline_ = o.inline_;
-    heap_ = std::move(o.heap_);
-    o.width_ = 0;
-    o.words_ = 0;
-    return *this;
 }
 
 bool
@@ -80,14 +55,6 @@ BitVec::operator==(const BitVec& o) const
     if (width_ != o.width_)
         return false;
     return std::equal(data(), data() + words_, o.data());
-}
-
-void
-BitVec::setWord(std::size_t i, std::uint64_t v)
-{
-    assert(i < words_);
-    data()[i] = v;
-    maskTop();
 }
 
 bool
@@ -106,23 +73,6 @@ BitVec::setBit(unsigned i, bool v)
         data()[i / 64] |= mask;
     else
         data()[i / 64] &= ~mask;
-}
-
-unsigned
-BitVec::popcount() const
-{
-    unsigned n = 0;
-    for (std::size_t w = 0; w < words_; ++w)
-        n += std::popcount(data()[w]);
-    return n;
-}
-
-void
-BitVec::maskTop()
-{
-    const unsigned rem = width_ % 64;
-    if (rem != 0 && words_ > 0)
-        data()[words_ - 1] &= (std::uint64_t{1} << rem) - 1;
 }
 
 } // namespace orion::power

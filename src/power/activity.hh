@@ -14,12 +14,30 @@
 #define ORION_POWER_ACTIVITY_HH
 
 #include <array>
-#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <memory>
 
 namespace orion::power {
+
+/**
+ * Number of set bits in @p x: the one popcount of the simulator.
+ *
+ * Branch-free SWAR (bit-sliced) count. The build targets baseline
+ * x86-64, which has no POPCNT instruction, so std::popcount there is a
+ * call into libgcc; every Hamming distance, request delta and priority
+ * toggle count sits on the per-flit-hop path, where that call costs
+ * more than the dozen ALU operations below. orion_analyze's
+ * `one-popcount` rule keeps every other popcount out of src/.
+ */
+constexpr unsigned
+popcount64(std::uint64_t x)
+{
+    x = x - ((x >> 1) & 0x5555555555555555ull);
+    x = (x & 0x3333333333333333ull) + ((x >> 2) & 0x3333333333333333ull);
+    x = (x + (x >> 4)) & 0x0f0f0f0f0f0f0f0full;
+    return static_cast<unsigned>((x * 0x0101010101010101ull) >> 56);
+}
 
 /**
  * A fixed-width bit vector holding the payload of one flit (or any
@@ -41,10 +59,54 @@ class BitVec
     /** A vector of @p width bits whose low word is @p low_word. */
     BitVec(unsigned width, std::uint64_t low_word);
 
-    BitVec(const BitVec& o);
-    BitVec(BitVec&& o) noexcept;
-    BitVec& operator=(const BitVec& o);
-    BitVec& operator=(BitVec&& o) noexcept;
+    // Copies and moves run several times per flit hop (FIFO rows, the
+    // write-driver and link/crossbar history registers, channel
+    // staging), so the inline-storage case is defined here; only a
+    // heap payload (> 256 bits) takes the out-of-line path.
+    BitVec(const BitVec& o)
+        : width_(o.width_), words_(o.words_), inline_(o.inline_)
+    {
+        if (o.heap_)
+            copyHeapFrom(o);
+    }
+
+    BitVec(BitVec&& o) noexcept
+        : width_(o.width_),
+          words_(o.words_),
+          inline_(o.inline_),
+          heap_(std::move(o.heap_))
+    {
+        o.width_ = 0;
+        o.words_ = 0;
+    }
+
+    BitVec&
+    operator=(const BitVec& o)
+    {
+        if (heap_ || o.heap_) {
+            assignSlow(o);
+            return *this;
+        }
+        width_ = o.width_;
+        words_ = o.words_;
+        inline_ = o.inline_;
+        return *this;
+    }
+
+    BitVec&
+    operator=(BitVec&& o) noexcept
+    {
+        if (this == &o)
+            return *this;
+        width_ = o.width_;
+        words_ = o.words_;
+        inline_ = o.inline_;
+        heap_ = std::move(o.heap_);
+        o.width_ = 0;
+        o.words_ = 0;
+        return *this;
+    }
+
     ~BitVec() = default;
 
     unsigned width() const { return width_; }
@@ -55,13 +117,27 @@ class BitVec
     std::uint64_t word(std::size_t i) const { return data()[i]; }
 
     /** Set storage word @p i (masked to the declared width). */
-    void setWord(std::size_t i, std::uint64_t v);
+    void
+    setWord(std::size_t i, std::uint64_t v)
+    {
+        assert(i < words_);
+        data()[i] = v;
+        maskTop();
+    }
 
     bool bit(unsigned i) const;
     void setBit(unsigned i, bool v);
 
     /** Number of set bits. */
-    unsigned popcount() const;
+    unsigned
+    popcount() const
+    {
+        unsigned n = 0;
+        const std::uint64_t* w = data();
+        for (std::size_t i = 0; i < words_; ++i)
+            n += popcount64(w[i]);
+        return n;
+    }
 
     bool operator==(const BitVec& o) const;
 
@@ -80,10 +156,21 @@ class BitVec
   private:
     static constexpr std::size_t kInlineWords = 4; // up to 256 bits
 
-    void maskTop();
+    void
+    maskTop()
+    {
+        const unsigned rem = width_ % 64;
+        if (rem != 0 && words_ > 0)
+            data()[words_ - 1] &= (std::uint64_t{1} << rem) - 1;
+    }
+    /** Copy-construction tail for a heap source. */
+    void copyHeapFrom(const BitVec& o);
+    /** Copy assignment when either side holds a heap buffer. */
+    void assignSlow(const BitVec& o);
 
     unsigned width_;
     std::uint32_t words_;
+    /** Inline storage; all zero while heap_ holds the words. */
     std::array<std::uint64_t, kInlineWords> inline_{};
     std::unique_ptr<std::uint64_t[]> heap_;
 };
@@ -102,7 +189,7 @@ hammingDistance(const BitVec& a, const BitVec& b)
     const std::uint64_t* wa = a.data();
     const std::uint64_t* wb = b.data();
     for (std::size_t i = 0; i < a.wordCount(); ++i)
-        n += static_cast<unsigned>(std::popcount(wa[i] ^ wb[i]));
+        n += popcount64(wa[i] ^ wb[i]);
     return n;
 }
 

@@ -81,19 +81,6 @@ BufferModel::BufferModel(const tech::TechNode& tech,
 }
 
 double
-BufferModel::readEnergy() const
-{
-    return eRead_;
-}
-
-double
-BufferModel::writeEnergy(unsigned delta_bw, unsigned delta_bc) const
-{
-    assert(delta_bw <= params_.flitBits && delta_bc <= params_.flitBits);
-    return eWl_ + delta_bw * eBw_ + delta_bc * eCell_;
-}
-
-double
 BufferModel::avgWriteEnergy() const
 {
     // Random data vs. random previous state: half the differential

@@ -22,6 +22,8 @@
 #ifndef ORION_POWER_BUFFER_MODEL_HH
 #define ORION_POWER_BUFFER_MODEL_HH
 
+#include <cassert>
+
 #include "tech/capacitance.hh"
 #include "tech/tech_node.hh"
 #include "tech/transistor.hh"
@@ -88,7 +90,7 @@ class BufferModel
      * Reads discharge precharged bitlines, so no data-dependent
      * activity factor applies.
      */
-    double readEnergy() const;
+    double readEnergy() const { return eRead_; }
 
     /**
      * Energy of one write with monitored switching activity:
@@ -97,7 +99,13 @@ class BufferModel
      * @param delta_bw  number of switching write bitlines
      * @param delta_bc  number of flipped memory cells
      */
-    double writeEnergy(unsigned delta_bw, unsigned delta_bc) const;
+    double
+    writeEnergy(unsigned delta_bw, unsigned delta_bc) const
+    {
+        assert(delta_bw <= params_.flitBits &&
+               delta_bc <= params_.flitBits);
+        return eWl_ + delta_bw * eBw_ + delta_bc * eCell_;
+    }
 
     /**
      * Average-activity write energy, for static (non-simulated)

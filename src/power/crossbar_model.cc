@@ -111,13 +111,6 @@ CrossbarModel::areaUm2() const
 }
 
 double
-CrossbarModel::traversalEnergy(unsigned delta_bits) const
-{
-    assert(delta_bits <= params_.width);
-    return delta_bits * eWire_;
-}
-
-double
 CrossbarModel::avgTraversalEnergy() const
 {
     return traversalEnergy(params_.width / 2);

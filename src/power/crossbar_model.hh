@@ -24,6 +24,8 @@
 #ifndef ORION_POWER_CROSSBAR_MODEL_HH
 #define ORION_POWER_CROSSBAR_MODEL_HH
 
+#include <cassert>
+
 #include "tech/tech_node.hh"
 
 namespace orion::power {
@@ -93,7 +95,12 @@ class CrossbarModel
      * @param delta_bits  number of data wires that toggle relative to
      *                    the previous value carried on this path
      */
-    double traversalEnergy(unsigned delta_bits) const;
+    double
+    traversalEnergy(unsigned delta_bits) const
+    {
+        assert(delta_bits <= params_.width);
+        return delta_bits * eWire_;
+    }
 
     /** Average-activity traversal (half the wires toggle). */
     double avgTraversalEnergy() const;

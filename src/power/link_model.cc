@@ -21,13 +21,6 @@ OnChipLinkModel::OnChipLinkModel(const tech::TechNode& tech,
 }
 
 double
-OnChipLinkModel::traversalEnergy(unsigned delta_bits) const
-{
-    assert(delta_bits <= width_);
-    return delta_bits * eWire_;
-}
-
-double
 OnChipLinkModel::avgTraversalEnergy() const
 {
     return traversalEnergy(width_ / 2);

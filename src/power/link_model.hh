@@ -18,6 +18,8 @@
 #ifndef ORION_POWER_LINK_MODEL_HH
 #define ORION_POWER_LINK_MODEL_HH
 
+#include <cassert>
+
 #include "tech/tech_node.hh"
 
 namespace orion::power {
@@ -47,7 +49,12 @@ class OnChipLinkModel
      *
      * @param delta_bits  wires that toggle vs. the previous flit
      */
-    double traversalEnergy(unsigned delta_bits) const;
+    double
+    traversalEnergy(unsigned delta_bits) const
+    {
+        assert(delta_bits <= width_);
+        return delta_bits * eWire_;
+    }
 
     /** Average-activity traversal (half the wires toggle). */
     double avgTraversalEnergy() const;

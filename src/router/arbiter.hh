@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <span>
 #include <vector>
 
 namespace orion::router {
@@ -49,27 +50,32 @@ class Arbiter
 
     unsigned requests() const { return requests_; }
 
+    /** 64-bit words in a packed request set: one bit per requester. */
+    std::size_t wordCount() const { return wordsFor(requests_); }
+
     /**
      * Resolve one arbitration among @p reqs (size == requests()).
      * Grants exactly one of the asserted requests (or none if all are
-     * false) and updates priority state.
+     * false) and updates priority state. Packs @p reqs and resolves
+     * it as the packed overload does.
      */
-    virtual ArbitrationResult arbitrate(const std::vector<bool>& reqs) = 0;
+    ArbitrationResult arbitrate(const std::vector<bool>& reqs);
+
+    /**
+     * The same arbitration over a packed request set: bit b of word k
+     * is requester 64k + b; wordCount() words, with the bits above
+     * requests() clear. The routers build their requests in this form
+     * directly, so no per-requester packing runs on the hot path.
+     */
+    virtual ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) = 0;
 
   protected:
     /**
-     * Hamming distance of @p reqs against the remembered request
-     * vector, which is then updated. As a side effect the request
-     * vector is packed into reqWords() (64 requesters per word), the
-     * representation the arbitration inner loops run on.
+     * Hamming distance of @p reqs against the remembered request set,
+     * which is then replaced by @p reqs.
      */
-    unsigned requestDelta(const std::vector<bool>& reqs);
-
-    /** @p reqs from the last requestDelta() call, bit-packed. */
-    const std::vector<std::uint64_t>& reqWords() const
-    {
-        return reqWords_;
-    }
+    unsigned requestDelta(std::span<const std::uint64_t> reqs);
 
     /** 64-bit words needed for one bit per requester. */
     static std::size_t wordsFor(unsigned requests)
@@ -80,8 +86,10 @@ class Arbiter
     unsigned requests_;
 
   private:
-    std::vector<std::uint64_t> reqWords_;
     std::vector<std::uint64_t> lastWords_;
+    /** Packing workspace of the std::vector<bool> overload (sized on
+     * first use; the routers never call that overload). */
+    std::vector<std::uint64_t> packed_;
 };
 
 /**
@@ -95,7 +103,9 @@ class MatrixArbiter : public Arbiter
   public:
     explicit MatrixArbiter(unsigned requests);
 
-    ArbitrationResult arbitrate(const std::vector<bool>& reqs) override;
+    using Arbiter::arbitrate;
+    ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) override;
 
     /** True if requester @p i currently has priority over @p j. */
     bool hasPriority(unsigned i, unsigned j) const;
@@ -103,15 +113,26 @@ class MatrixArbiter : public Arbiter
   private:
     /**
      * The priority matrix, bit-packed both ways so the grant scan is
-     * word-parallel: row_[i] holds the requesters i beats (bit j =
-     * prio[i][j]) and col_[i] the requesters that beat i (bit j =
+     * word-parallel: row(i) holds the requesters i beats (bit j =
+     * prio[i][j]) and col(i) the requesters that beat i (bit j =
      * prio[j][i]). Antisymmetry is maintained as an invariant, making
-     * col_ the transpose of row_; it is kept materialized because the
-     * hot test "is any pending requester beating i" is one AND against
-     * col_[i].
+     * the columns the transpose of the rows; they are kept
+     * materialized because the hot test "is any pending requester
+     * beating i" is one AND against col(i). One buffer holds all rows
+     * and then all columns.
      */
-    std::vector<std::uint64_t> row_;
-    std::vector<std::uint64_t> col_;
+    std::vector<std::uint64_t> prio_;
+
+    std::uint64_t*
+    row(unsigned i)
+    {
+        return &prio_[i * wordCount()];
+    }
+    std::uint64_t*
+    col(unsigned i)
+    {
+        return &prio_[(requests_ + i) * wordCount()];
+    }
 };
 
 /**
@@ -124,7 +145,9 @@ class RoundRobinArbiter : public Arbiter
   public:
     explicit RoundRobinArbiter(unsigned requests);
 
-    ArbitrationResult arbitrate(const std::vector<bool>& reqs) override;
+    using Arbiter::arbitrate;
+    ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) override;
 
     unsigned token() const { return token_; }
 
@@ -143,13 +166,16 @@ class QueuingArbiter : public Arbiter
   public:
     explicit QueuingArbiter(unsigned requests);
 
-    ArbitrationResult arbitrate(const std::vector<bool>& reqs) override;
+    using Arbiter::arbitrate;
+    ArbitrationResult
+    arbitrate(std::span<const std::uint64_t> reqs) override;
 
     std::size_t queueLength() const { return queue_.size(); }
 
   private:
     std::deque<unsigned> queue_;
-    std::vector<bool> queued_;
+    /** Requesters in queue_, packed like a request set. */
+    std::vector<std::uint64_t> queued_;
 };
 
 /** Construct an arbiter of the given behavioural kind. */

@@ -17,6 +17,7 @@ CentralBufferRouter::CentralBufferRouter(
     assert(params.vcs == 1 && "CB router input buffers are plain FIFOs");
     assert(cb.capacityFlits >= params.packetLength);
     assert(cb.writePorts >= 1 && cb.readPorts >= 1);
+    assert(params.ports <= 64 && "request sets are one 64-bit word");
 
     inputFifos_.reserve(params.ports);
     for (unsigned p = 0; p < params.ports; ++p) {
@@ -126,13 +127,14 @@ void
 CentralBufferRouter::readStage(sim::Cycle now)
 {
     const unsigned ports = params_.ports;
-    std::vector<bool> used(ports, false);
+    // Request sets and port masks are packed one bit per port (the
+    // constructor bounds ports to one word).
+    std::uint64_t used = 0;
 
     for (unsigned r = 0; r < cb_.readPorts; ++r) {
-        std::vector<bool> reqs(ports, false);
-        bool any = false;
+        std::uint64_t reqs = 0;
         for (unsigned o = 0; o < ports; ++o) {
-            if (used[o] || outputQueues_[o].empty())
+            if (((used >> o) & 1) != 0 || outputQueues_[o].empty())
                 continue;
             if (faultHooks_ && faultHooks_->portStalled(node(), o, now))
                 continue;
@@ -147,16 +149,16 @@ CentralBufferRouter::readStage(sim::Cycle now)
                 flit.head ? flit.routeHop().newRing : false, o);
             if (outputCredits(o, 0) < need)
                 continue;
-            reqs[o] = true;
-            any = true;
+            reqs |= std::uint64_t{1} << o;
         }
-        if (!any)
+        if (reqs == 0)
             continue;
 
-        const ArbitrationResult res = readArb_[r]->arbitrate(reqs);
+        const ArbitrationResult res =
+            readArb_[r]->arbitrate(std::span(&reqs, 1));
         assert(res.winner >= 0);
         const auto o = static_cast<unsigned>(res.winner);
-        used[o] = true;
+        used |= std::uint64_t{1} << o;
         bus_.emit({sim::EventType::Arbitration, node(),
                    static_cast<int>(ports + cb_.writePorts + r),
                    res.deltaReq, res.deltaPri, now});
@@ -195,9 +197,9 @@ CentralBufferRouter::writeStage(sim::Cycle now)
     const unsigned ports = params_.ports;
     // Eligibility is re-evaluated per write port: an earlier port's
     // admission shrinks the pool, which can disqualify a later head.
-    std::vector<bool> granted(ports, false);
+    std::uint64_t granted = 0;
     const auto eligible = [&](unsigned p) {
-        if (granted[p] || inputFifos_[p].empty())
+        if (((granted >> p) & 1) != 0 || inputFifos_[p].empty())
             return false;
         const Flit& front = inputFifos_[p].front();
         if (front.head) {
@@ -210,19 +212,18 @@ CentralBufferRouter::writeStage(sim::Cycle now)
     };
 
     for (unsigned w = 0; w < cb_.writePorts; ++w) {
-        std::vector<bool> reqs(ports, false);
-        bool pending = false;
-        for (unsigned p = 0; p < ports; ++p) {
-            reqs[p] = eligible(p);
-            pending = pending || reqs[p];
-        }
-        if (!pending)
+        std::uint64_t reqs = 0;
+        for (unsigned p = 0; p < ports; ++p)
+            if (eligible(p))
+                reqs |= std::uint64_t{1} << p;
+        if (reqs == 0)
             break;
 
-        const ArbitrationResult res = writeArb_[w]->arbitrate(reqs);
+        const ArbitrationResult res =
+            writeArb_[w]->arbitrate(std::span(&reqs, 1));
         assert(res.winner >= 0);
         const auto p = static_cast<unsigned>(res.winner);
-        granted[p] = true;
+        granted |= std::uint64_t{1} << p;
         bus_.emit({sim::EventType::Arbitration, node(),
                    static_cast<int>(ports + w), res.deltaReq,
                    res.deltaPri, now});
@@ -250,7 +251,8 @@ CentralBufferRouter::writeStage(sim::Cycle now)
             flit.payload, rowContents_[writeRow_]);
         lastWritten_[w] = flit.payload;
         rowContents_[writeRow_] = flit.payload;
-        writeRow_ = (writeRow_ + 1) % cb_.capacityFlits;
+        if (++writeRow_ == cb_.capacityFlits)
+            writeRow_ = 0;
         bus_.emit({sim::EventType::CentralBufferWrite, node(),
                    static_cast<int>(w), delta_bits, delta_bc, now});
 

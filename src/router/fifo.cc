@@ -26,10 +26,11 @@ FlitFifo::grow()
     // Deep buffers (central-queue presets run hundreds of flits) would
     // waste memory if every VC preallocated its full depth, so the
     // ring starts empty and doubles toward capacity_ as occupancy
-    // actually demands it. Rebuild in front-to-back order so head_
-    // restarts at slot 0.
+    // actually demands it. The first ring holds 8 flits, the depth of
+    // the paper's VC buffers, so those fill it with one allocation.
+    // Rebuild in front-to-back order so head_ restarts at slot 0.
     const std::size_t want =
-        std::min(capacity_, std::max<std::size_t>(4, slots_.size() * 2));
+        std::min(capacity_, std::max<std::size_t>(8, slots_.size() * 2));
     std::vector<Flit> bigger;
     bigger.reserve(want);
     for (std::size_t i = 0; i < count_; ++i)
@@ -40,7 +41,7 @@ FlitFifo::grow()
 }
 
 void
-FlitFifo::write(Flit flit, sim::Cycle now)
+FlitFifo::write(Flit&& flit, sim::Cycle now)
 {
     ORION_CHECK(!full(), "FIFO overflow (credit discipline violated) at "
                              << "node " << node_ << " component "
@@ -54,7 +55,8 @@ FlitFifo::write(Flit flit, sim::Cycle now)
 
     lastWritten_ = flit.payload;
     rowContents_[writeRow_] = flit.payload;
-    writeRow_ = (writeRow_ + 1) % capacity_;
+    if (++writeRow_ == capacity_)
+        writeRow_ = 0;
 
     bus_.emit({sim::EventType::BufferWrite, node_, component_, delta_bw,
                delta_bc, now});

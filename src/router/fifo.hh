@@ -49,7 +49,7 @@ class FlitFifo
      * Write @p flit into the tail slot; emits BufferWrite with the
      * monitored delta_bw / delta_bc. The FIFO must not be full.
      */
-    void write(Flit flit, sim::Cycle now);
+    void write(Flit&& flit, sim::Cycle now);
 
     /** The flit at the head (must not be empty). */
     const Flit&

@@ -12,7 +12,7 @@ FlitLink::FlitLink(int node, int component, unsigned flit_bits,
 }
 
 void
-FlitLink::send(Flit flit, sim::EventBus& bus, sim::Cycle now)
+FlitLink::send(Flit&& flit, sim::EventBus& bus, sim::Cycle now)
 {
     // Poison tails are exempt from faulting: corrupting one would
     // reopen a worm the receiver already closed, breaking forward

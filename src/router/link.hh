@@ -42,7 +42,7 @@ class FlitLink : public sim::RegisteredChannel<Flit>
      * Send @p flit down the link: emits LinkTraversal (if enabled) and
      * stages the flit for delivery next cycle.
      */
-    void send(Flit flit, sim::EventBus& bus, sim::Cycle now);
+    void send(Flit&& flit, sim::EventBus& bus, sim::Cycle now);
 
     bool emitsTraversal() const { return emitsTraversal_; }
 

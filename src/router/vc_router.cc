@@ -16,13 +16,11 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
       vaScan_(params.ports, 0),
       stLatch_(params.ports),
       portFlits_(params.ports, 0),
-      saCand_(params.ports),
-      saReqs_(params.ports - 1, false),
-      vaBids_(params.ports * params.vcs),
-      vaReqs_((params.ports - 1) * params.vcs, false)
+      saCand_(params.ports)
 {
     assert(va_enabled || params.vcs == 1);
-    assert(params.ports <= 64 && "saStage output bitmask is 64-wide");
+    assert(params.ports <= 64 &&
+           "SA request sets and output masks are one 64-bit word");
 
     const unsigned n_vcs = params.ports * params.vcs;
     fifos_.reserve(n_vcs);
@@ -43,6 +41,8 @@ CrossbarRouter::CrossbarRouter(std::string name, int node,
         vaArb_.reserve(n_vcs);
         for (unsigned i = 0; i < n_vcs; ++i)
             vaArb_.push_back(makeArbiter(params.arbiterKind, va_reqs));
+        vaWords_ = vaArb_.front()->wordCount();
+        vaBids_.assign(n_vcs * vaWords_, 0);
     }
 }
 
@@ -231,12 +231,12 @@ CrossbarRouter::stStage(sim::Cycle now)
         // will not refill the occupied latch) until the stall lifts.
         if (faultHooks_ && faultHooks_->portStalled(node(), o, now))
             continue;
-        StEntry entry = std::move(*stLatch_[o]);
-        stLatch_[o].reset();
-        --latchedCount_;
+        StEntry& entry = *stLatch_[o];
         xbar_.traverse(entry.inPort, o, entry.flit, now);
         assert(outLinks_[o] && "flit routed to unconnected output");
         outLinks_[o]->send(std::move(entry.flit), bus_, now);
+        stLatch_[o].reset();
+        --latchedCount_;
         ++flitsForwarded_;
     }
 }
@@ -257,8 +257,9 @@ CrossbarRouter::pickCandidate(unsigned p)
 {
     if (portFlits_[p] == 0)
         return std::nullopt;
-    for (unsigned k = 0; k < params_.vcs; ++k) {
-        const unsigned v = (rrNextVc_[p] + k) % params_.vcs;
+    const unsigned vcs = params_.vcs;
+    for (unsigned k = 0, v = rrNextVc_[p]; k < vcs;
+         ++k, v = v + 1 == vcs ? 0 : v + 1) {
         FlitFifo& fifo = fifoAt(p, v);
         if (fifo.empty())
             continue;
@@ -327,15 +328,15 @@ CrossbarRouter::saStage(sim::Cycle now)
         // arbitrate for an output that can't accept a new flit.
         if (stLatch_[o])
             continue;
-        auto& reqs = saReqs_;
-        std::fill(reqs.begin(), reqs.end(), false);
+        std::uint64_t reqs = 0;
         for (unsigned p = 0; p < ports; ++p) {
             if (p == o || !cand[p] || cand[p]->outPort != o)
                 continue;
-            reqs[saRequester(p, o)] = true;
+            reqs |= std::uint64_t{1} << saRequester(p, o);
         }
 
-        const ArbitrationResult res = saArb_[o]->arbitrate(reqs);
+        const ArbitrationResult res =
+            saArb_[o]->arbitrate(std::span(&reqs, 1));
         assert(res.winner >= 0);
         bus_.emit({sim::EventType::Arbitration, node(),
                    static_cast<int>(o), res.deltaReq, res.deltaPri,
@@ -377,7 +378,7 @@ CrossbarRouter::saStage(sim::Cycle now)
         assert(!stLatch_[o]);
         stLatch_[o] = StEntry{std::move(flit), p};
         ++latchedCount_;
-        rrNextVc_[p] = (c.vc + 1) % params_.vcs;
+        rrNextVc_[p] = c.vc + 1 == params_.vcs ? 0 : c.vc + 1;
         ++granted;
     }
     saStalls_ += requesters - granted;
@@ -392,11 +393,18 @@ CrossbarRouter::vaStage(sim::Cycle now)
     const unsigned vcs = params_.vcs;
 
     // 1. Heads newly at the front of their FIFOs enter WaitingVc.
+    //    The scan also counts the waiting VCs step 2 bids for; with
+    //    none, steps 2 and 3 have nothing to do.
+    unsigned waiting = 0;
     for (unsigned p = 0; p < ports; ++p) {
         if (portFlits_[p] == 0)
             continue;
         for (unsigned v = 0; v < vcs; ++v) {
             VcState& st = vcStateAt(p, v);
+            if (st.phase == VcState::Phase::WaitingVc) {
+                ++waiting;
+                continue;
+            }
             const FlitFifo& fifo = fifoAt(p, v);
             if (st.phase != VcState::Phase::Idle || fifo.empty() ||
                 !fifo.front().head) {
@@ -408,11 +416,15 @@ CrossbarRouter::vaStage(sim::Cycle now)
             st.outPort = hop.port;
             st.vcClass = hop.vcClass;
             st.newRing = hop.newRing;
+            ++waiting;
         }
     }
+    if (waiting == 0)
+        return;
 
     // 2. Each waiting input VC bids for one free output VC of its
-    //    class; collect the bids per (output port, output VC).
+    //    class; the bids per (output port, output VC) form that
+    //    output VC's packed VA request set.
     //
     //    Bubble mode (slot-granular virtual cut-through): a head may
     //    only be allocated a *completely empty* downstream VC (atomic
@@ -421,10 +433,16 @@ CrossbarRouter::vaStage(sim::Cycle now)
     //    empty, so every ring always retains a free packet-slot
     //    bubble. This is deadlock-free on tori without splitting the
     //    VCs into dateline classes.
+    //
+    //    Every bid set is empty on entry: step 3 clears the sets of
+    //    each output it visits, and only those outputs hold bids.
     const bool bubble = params_.deadlock == DeadlockMode::Bubble;
-    auto& bids = vaBids_;
-    for (auto& b : bids)
-        b.clear();
+    const std::size_t words = vaWords_;
+    const auto bids = [&](unsigned o, unsigned ov) {
+        return std::span<std::uint64_t>(
+            &vaBids_[vcIndex(o, ov) * words], words);
+    };
+    std::uint64_t bid_outputs = 0;
     for (unsigned p = 0; p < ports; ++p) {
         if (portFlits_[p] == 0)
             continue;
@@ -436,15 +454,18 @@ CrossbarRouter::vaStage(sim::Cycle now)
             const unsigned span = last - first;
             assert(span > 0);
             const unsigned o = st.outPort;
-            for (unsigned k = 0; k < span; ++k) {
-                const unsigned ov = first + (vaScan_[o] + k) % span;
+            for (unsigned k = 0, i = vaScan_[o] % span; k < span;
+                 ++k, i = i + 1 == span ? 0 : i + 1) {
+                const unsigned ov = first + i;
                 if (outVcBusy_[vcIndex(o, ov)])
                     continue;
                 if (bubble && !isLocalPort(o) &&
                     !outputCredits_[o]->empty(ov)) {
                     continue;
                 }
-                bids[o * vcs + ov].emplace_back(p, v);
+                const unsigned r = vaRequester(p, v, o);
+                bids(o, ov)[r / 64] |= std::uint64_t{1} << (r % 64);
+                bid_outputs |= std::uint64_t{1} << o;
                 break;
             }
         }
@@ -466,11 +487,20 @@ CrossbarRouter::vaStage(sim::Cycle now)
 
     // 3. Arbitrate each contested output VC, enforcing the bubble
     //    slot budget against grants already made this cycle.
-    const unsigned va_reqs = (ports - 1) * vcs;
-    for (unsigned o = 0; o < ports; ++o) {
+    //    Contested outputs go in index order: event order and the
+    //    bubble budget depend on it.
+    while (bid_outputs != 0) {
+        const unsigned o =
+            static_cast<unsigned>(std::countr_zero(bid_outputs));
+        bid_outputs &= bid_outputs - 1;
         bool granted_any = false;
         for (unsigned ov = 0; ov < vcs; ++ov) {
-            if (bids[o * vcs + ov].empty())
+            const std::span<std::uint64_t> reqs = bids(o, ov);
+            const auto none = [&] {
+                return std::all_of(reqs.begin(), reqs.end(),
+                                   [](std::uint64_t w) { return w == 0; });
+            };
+            if (none())
                 continue;
             if (bubble && !isLocalPort(o)) {
                 // Target slot must still be free, and ring entries
@@ -478,32 +508,33 @@ CrossbarRouter::vaStage(sim::Cycle now)
                 const unsigned remaining = free_slots(o);
                 if (remaining == 0)
                     continue;
-                auto& candidates = bids[o * vcs + ov];
-                std::erase_if(candidates, [&](const auto& bid) {
-                    return vcStateAt(bid.first, bid.second).newRing &&
-                           remaining < 2;
-                });
-                if (candidates.empty())
-                    continue;
+                if (remaining < 2) {
+                    for (std::size_t k = 0; k < words; ++k) {
+                        for (std::uint64_t m = reqs[k]; m != 0;
+                             m &= m - 1) {
+                            const unsigned r =
+                                static_cast<unsigned>(k) * 64 +
+                                static_cast<unsigned>(
+                                    std::countr_zero(m));
+                            const auto [p, v] = vaRequesterVc(r, o);
+                            if (vcStateAt(p, v).newRing)
+                                reqs[k] &= ~(std::uint64_t{1} << (r % 64));
+                        }
+                    }
+                    if (none())
+                        continue;
+                }
             }
-            auto& reqs = vaReqs_;
-            assert(reqs.size() == va_reqs);
-            std::fill(reqs.begin(), reqs.end(), false);
-            for (const auto& [p, v] : bids[o * vcs + ov])
-                reqs[vaRequester(p, v, o)] = true;
             const ArbitrationResult res =
-                vaArb_[vcIndex(o, ov)]->arbitrate(reqs);
+                vaArb_[vcIndex(o, ov)]->arbitrate(
+                    std::span<const std::uint64_t>(reqs));
             assert(res.winner >= 0);
             bus_.emit({sim::EventType::VcAllocation, node(),
                        static_cast<int>(o * vcs + ov), res.deltaReq,
                        res.deltaPri, now});
 
-            // Undo the requester mapping.
-            const unsigned w = static_cast<unsigned>(res.winner);
-            unsigned p = w / vcs;
-            const unsigned v = w % vcs;
-            if (p >= o)
-                ++p;
+            const auto [p, v] =
+                vaRequesterVc(static_cast<unsigned>(res.winner), o);
             VcState& st = vcStateAt(p, v);
             assert(st.phase == VcState::Phase::WaitingVc);
             st.phase = VcState::Phase::Active;
@@ -511,8 +542,9 @@ CrossbarRouter::vaStage(sim::Cycle now)
             outVcBusy_[vcIndex(o, ov)] = true;
             granted_any = true;
         }
+        std::fill_n(bids(o, 0).begin(), vcs * words, 0);
         if (granted_any)
-            vaScan_[o] = (vaScan_[o] + 1) % vcs;
+            vaScan_[o] = vaScan_[o] + 1 == vcs ? 0 : vaScan_[o] + 1;
     }
 }
 

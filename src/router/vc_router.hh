@@ -125,6 +125,15 @@ class CrossbarRouter : public Router
         return saRequester(p, o) * params_.vcs + v;
     }
 
+    /** Input VC (p, v) of VA requester @p r at output @p o (the
+     * inverse of vaRequester). */
+    std::pair<unsigned, unsigned>
+    vaRequesterVc(unsigned r, unsigned o) const
+    {
+        const unsigned p = r / params_.vcs;
+        return {p >= o ? p + 1 : p, r % params_.vcs};
+    }
+
     /// @name Struct-of-arrays per-VC state
     /// All [port][vc] state lives in flat arrays indexed
     /// port * vcs + vc, so the allocation stages' scans (every VC of
@@ -177,10 +186,11 @@ class CrossbarRouter : public Router
     /// @name Per-cycle workspaces (members to avoid re-allocation)
     /// @{
     std::vector<std::optional<Candidate>> saCand_;
-    std::vector<bool> saReqs_;
-    /** VA bids, flattened [outPort * vcs + outVc]. */
-    std::vector<std::vector<std::pair<unsigned, unsigned>>> vaBids_;
-    std::vector<bool> vaReqs_;
+    /** VA bids: one packed request set of vaWords_ words per output
+     * VC, flattened [(outPort * vcs + outVc) * vaWords_]; all clear
+     * between cycles. */
+    std::vector<std::uint64_t> vaBids_;
+    std::size_t vaWords_ = 0;
     /// @}
 };
 

@@ -80,12 +80,19 @@ class Channel
   public:
     /** Stage a message for delivery next cycle. At most one per cycle. */
     void
-    write(T msg)
+    write(T&& msg)
     {
         assert(!staged_.has_value() && "channel written twice in a cycle");
-        staged_ = std::move(msg);
+        staged_.emplace(std::move(msg));
         if (advanceQueue_)
             advanceQueue_->push_back(advanceSelf_);
+    }
+
+    /** Stage a copy of @p msg (see write(T&&)). */
+    void
+    write(const T& msg)
+    {
+        write(T(msg));
     }
 
     /** True if a message is available this cycle. */

@@ -11,6 +11,7 @@
 #ifndef ORION_SIM_RNG_HH
 #define ORION_SIM_RNG_HH
 
+#include <bit>
 #include <cstdint>
 
 namespace orion::sim {
@@ -22,17 +23,37 @@ class Rng
     /** Seed via splitmix64 expansion of @p seed. */
     explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
+    // next(), uniform() and chance() are inline: every node draws an
+    // injection trial each cycle and every flit's payload is random.
+
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+        return result;
+    }
 
     /** Uniform integer in [0, bound) (bound > 0), unbiased. */
     std::uint64_t below(std::uint64_t bound);
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high-quality bits into [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with probability @p p. */
-    bool chance(double p);
+    bool chance(double p) { return uniform() < p; }
 
   private:
     std::uint64_t s_[4];

@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "power/activity.hh"
 #include "sim/rng.hh"
 
@@ -14,6 +17,7 @@ namespace {
 using orion::power::BitVec;
 using orion::power::flippedCells;
 using orion::power::hammingDistance;
+using orion::power::popcount64;
 using orion::power::switchingWriteBitlines;
 
 TEST(BitVec, ConstructsZeroed)
@@ -192,6 +196,91 @@ TEST(Deltas, RandomDataAveragesHalfWidth)
         total += hammingDistance(a, b);
     }
     EXPECT_NEAR(total / trials, width / 2.0, 3.0);
+}
+
+// --- the popcount helper ---------------------------------------------
+
+TEST(Popcount64, MatchesStdPopcount)
+{
+    // Edge words, then random words of every density (masking a random
+    // word with further random words thins it out).
+    for (const std::uint64_t w :
+         {std::uint64_t{0}, ~std::uint64_t{0}, std::uint64_t{1},
+          std::uint64_t{1} << 63, std::uint64_t{0x5555555555555555},
+          std::uint64_t{0xaaaaaaaaaaaaaaaa}, std::uint64_t{0xff00ff00}}) {
+        EXPECT_EQ(popcount64(w), static_cast<unsigned>(std::popcount(w)));
+    }
+    orion::sim::Rng rng(7);
+    for (int i = 0; i < 20000; ++i) {
+        std::uint64_t w = rng.next();
+        for (int thin = i % 4; thin > 0; --thin)
+            w &= rng.next();
+        if (i % 5 == 0)
+            w = ~w;
+        ASSERT_EQ(popcount64(w), static_cast<unsigned>(std::popcount(w)))
+            << std::hex << w;
+    }
+    static_assert(popcount64(0xf0f0) == 8);
+}
+
+TEST(Popcount64, HammingMatchesStdPopcountAtEveryWidth)
+{
+    // Widths that are not multiples of 64 keep their top word masked,
+    // and the inline (<= 256 bits) and heap (> 256 bits) storage paths
+    // must count alike.
+    orion::sim::Rng rng(13);
+    for (const unsigned width : {1u, 7u, 63u, 64u, 65u, 100u, 191u, 256u,
+                                 257u, 300u, 512u}) {
+        for (int trial = 0; trial < 200; ++trial) {
+            BitVec a(width);
+            BitVec b(width);
+            for (std::size_t w = 0; w < a.wordCount(); ++w) {
+                a.setWord(w, rng.next());
+                b.setWord(w, rng.next());
+            }
+            unsigned expect_ab = 0;
+            unsigned expect_a = 0;
+            for (std::size_t w = 0; w < a.wordCount(); ++w) {
+                expect_ab += static_cast<unsigned>(
+                    std::popcount(a.word(w) ^ b.word(w)));
+                expect_a += static_cast<unsigned>(std::popcount(a.word(w)));
+            }
+            ASSERT_EQ(hammingDistance(a, b), expect_ab) << width;
+            ASSERT_EQ(a.popcount(), expect_a) << width;
+            ASSERT_LE(a.popcount(), width);
+        }
+    }
+}
+
+TEST(BitVec, CopiesAndMovesKeepContentAcrossStoragePaths)
+{
+    // Assignments between inline and heap vectors in both directions:
+    // the inline fast path and the heap slow path must leave equal,
+    // independent copies.
+    orion::sim::Rng rng(5);
+    const auto random = [&](unsigned width) {
+        BitVec v(width);
+        for (std::size_t w = 0; w < v.wordCount(); ++w)
+            v.setWord(w, rng.next());
+        return v;
+    };
+    for (const unsigned from : {40u, 256u, 300u}) {
+        for (const unsigned to : {40u, 256u, 300u}) {
+            const BitVec src = random(from);
+            BitVec dst = random(to);
+            dst = src;
+            EXPECT_EQ(dst, src);
+            EXPECT_EQ(dst.popcount(), src.popcount());
+            BitVec copy(dst);
+            EXPECT_EQ(copy, src);
+            copy.setBit(0, !copy.bit(0));
+            EXPECT_EQ(dst, src) << "copy shares storage";
+            BitVec moved = random(to);
+            moved = std::move(copy);
+            EXPECT_EQ(moved.width(), from);
+            EXPECT_EQ(hammingDistance(moved, src), 1u);
+        }
+    }
 }
 
 } // namespace

@@ -25,6 +25,7 @@ CASES = [
     ("unguarded", "unguarded,unused-suppression", "unguarded", 1),
     ("signal-safety", "signal-safety", "signal-safety", 2),
     ("socket-under-lock", "socket-under-lock", "socket-under-lock", 2),
+    ("one-popcount", "one-popcount", "one-popcount", 3),
     ("unused-suppression", "unordered-iteration,unused-suppression",
      "unused-suppression", 3),
 ]

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "router/arbiter.hh"
@@ -174,6 +178,82 @@ TEST(RoundRobinArbiter, IsFairUnderContention)
     }
     for (const int g : grants)
         EXPECT_EQ(g, 100);
+}
+
+// --- packed-word overload --------------------------------------------
+
+/**
+ * Twin arbiters of one kind, one driven through std::vector<bool> and
+ * one through packed words built bit by bit here, see the same random
+ * request stream (sparse, dense, empty and full sets) and must agree
+ * on every winner and both activity deltas at every step. Widths
+ * cover one partial word, a full word and a word boundary (96).
+ */
+void
+expectPackedMatchesBool(ArbiterKind kind, unsigned width,
+                        std::uint64_t seed)
+{
+    SCOPED_TRACE("width " + std::to_string(width));
+    const auto by_bool = makeArbiter(kind, width);
+    const auto by_word = makeArbiter(kind, width);
+    ASSERT_EQ(by_word->wordCount(), (width + 63) / 64);
+    orion::sim::Rng rng(seed);
+    const double densities[] = {0.05, 0.3, 0.7, 0.0, 1.0};
+    std::vector<bool> bits(width);
+    std::vector<std::uint64_t> words(by_word->wordCount());
+    for (int step = 0; step < 4000; ++step) {
+        const double p = densities[(step / 50) % 5];
+        std::fill(words.begin(), words.end(), 0);
+        for (unsigned i = 0; i < width; ++i) {
+            bits[i] = rng.chance(p);
+            if (bits[i])
+                words[i / 64] |= std::uint64_t{1} << (i % 64);
+        }
+        const ArbitrationResult a = by_bool->arbitrate(bits);
+        const ArbitrationResult b = by_word->arbitrate(
+            std::span<const std::uint64_t>(words));
+        ASSERT_EQ(a.winner, b.winner) << "step " << step;
+        ASSERT_EQ(a.deltaReq, b.deltaReq) << "step " << step;
+        ASSERT_EQ(a.deltaPri, b.deltaPri) << "step " << step;
+        if (a.winner >= 0)
+            ASSERT_TRUE(bits[static_cast<unsigned>(a.winner)]);
+        else
+            ASSERT_EQ(std::count(bits.begin(), bits.end(), true), 0);
+    }
+}
+
+TEST(PackedArbitration, MatrixMatchesBoolOverload)
+{
+    for (unsigned width : {4u, 8u, 64u, 96u})
+        expectPackedMatchesBool(ArbiterKind::Matrix, width, 11 + width);
+}
+
+TEST(PackedArbitration, RoundRobinMatchesBoolOverload)
+{
+    for (unsigned width : {4u, 8u, 64u, 96u})
+        expectPackedMatchesBool(ArbiterKind::RoundRobin, width,
+                                23 + width);
+}
+
+TEST(PackedArbitration, QueuingMatchesBoolOverload)
+{
+    for (unsigned width : {4u, 8u, 64u, 96u})
+        expectPackedMatchesBool(ArbiterKind::Queuing, width, 37 + width);
+}
+
+TEST(PackedArbitration, RoundRobinWrapsAcrossWords)
+{
+    // Token in the second word, only a first-word request pending:
+    // the circular scan must wrap past the end and find it.
+    RoundRobinArbiter arb(96);
+    std::vector<std::uint64_t> words(2, 0);
+    words[1] = std::uint64_t{1} << (70 - 64);
+    EXPECT_EQ(arb.arbitrate(std::span<const std::uint64_t>(words)).winner,
+              70);
+    EXPECT_EQ(arb.token(), 71u);
+    words = {std::uint64_t{1} << 3, 0};
+    EXPECT_EQ(arb.arbitrate(std::span<const std::uint64_t>(words)).winner,
+              3);
 }
 
 } // namespace

@@ -271,6 +271,33 @@ TEST(RecyclingPool, LedgerBalances)
     EXPECT_EQ(pool.freeCount(), pool.allocatedCount());
 }
 
+TEST(RecyclingPool, ControlBlocksAreRecycledToo)
+{
+    // Once warmed up, acquire/release cycles reuse both the objects and
+    // the shared_ptr control blocks: no further block is allocated.
+    RecyclingPool<int> pool;
+    std::vector<std::shared_ptr<int>> live;
+    for (int i = 0; i < 8; ++i)
+        live.push_back(pool.acquire());
+    EXPECT_EQ(pool.blockCount(), 8u);
+    for (int round = 0; round < 100; ++round) {
+        live.erase(live.begin(), live.begin() + 3);
+        for (int i = 0; i < 3; ++i)
+            live.push_back(pool.acquire());
+    }
+    EXPECT_EQ(pool.blockCount(), 8u);
+    EXPECT_EQ(pool.allocatedCount(), 8u);
+    // A weak reference keeps the block (not the object) alive past
+    // the last owner; the block is parked when the weak one goes.
+    std::weak_ptr<int> watcher = live.front();
+    live.clear();
+    EXPECT_EQ(pool.freeCount(), 8u);
+    const auto fresh = pool.acquire();
+    EXPECT_EQ(pool.blockCount(), 8u);
+    watcher.reset();
+    EXPECT_EQ(pool.blockCount(), 8u);
+}
+
 TEST(RecyclingPool, ObjectsOutlivingThePoolStillRelease)
 {
     std::shared_ptr<int> survivor;

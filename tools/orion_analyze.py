@@ -64,6 +64,14 @@ Rules:
                        the server mutex. I/O belongs outside the
                        critical section; the lock protects queue and
                        job-table state only.
+  one-popcount         std::popcount and __builtin_popcount* may
+                       appear in src/ only inside power::popcount64
+                       (src/power/activity.hh). The default x86-64
+                       target has no POPCNT instruction, so either
+                       one compiles to a libgcc call on the per-flit-
+                       hop path; the helper is a branch-free inline
+                       count, and every activity delta goes through
+                       it.
   unused-suppression   an `// analyze-allow:` comment that no longer
                        suppresses anything, names an unknown rule, or
                        lacks a `-- justification` is itself a finding,
@@ -97,6 +105,7 @@ RULES = (
     "unguarded",
     "signal-safety",
     "socket-under-lock",
+    "one-popcount",
     "unused-suppression",
 )
 
@@ -123,6 +132,8 @@ SIGATOMIC_DECL_RE = re.compile(
     r"\bvolatile\s+(?:std\s*::\s*)?sig_atomic_t\s+([A-Za-z_]\w*)")
 ATOMIC_DECL_RE = re.compile(
     r"\b(?:std\s*::\s*)?atomic\s*<[^;>]*>\s+([A-Za-z_]\w*)")
+POPCOUNT_RE = re.compile(r"\bstd\s*::\s*popcount\b|\b__builtin_popcount\w*")
+POPCOUNT_HELPER = ("src/power/activity.hh", "popcount64")
 LOCKGUARD_RE = re.compile(
     r"\b(?:core\s*::\s*)?LockGuard\s+[A-Za-z_]\w*\s*[({]")
 SOCKET_CALL_RE = re.compile(
@@ -253,6 +264,7 @@ class Analyzer:
             "raw-subscribe": self.check_raw_subscribe,
             "unguarded": self.check_unguarded,
             "socket-under-lock": self.check_socket_under_lock,
+            "one-popcount": self.check_one_popcount,
         }
         for rule in self.rules:
             if rule in dispatch:
@@ -657,6 +669,24 @@ class Analyzer:
                     "a core::LockGuard is live: a slow peer stalls "
                     "every worker sharing the server mutex; do the "
                     "I/O outside the critical section")
+
+    # -- one-popcount --------------------------------------------------
+
+    def check_one_popcount(self, f):
+        """Flag popcount spellings outside the one helper's body."""
+        helper_file, helper_name = POPCOUNT_HELPER
+        allowed = []
+        if f.rel == helper_file:
+            allowed = [(lo, hi) for name, lo, hi in self.function_defs(f)
+                       if name == helper_name]
+        for m in POPCOUNT_RE.finditer(f.text):
+            if any(lo < m.start() < hi for lo, hi in allowed):
+                continue
+            self.report(
+                f, f.line_of(m.start()), "one-popcount",
+                f"'{' '.join(m.group(0).split())}' outside "
+                f"power::{helper_name}: without POPCNT in the target "
+                "it is a libgcc call; use power::popcount64")
 
     # -- signal-safety -------------------------------------------------
 
