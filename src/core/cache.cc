@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 #include <dirent.h>
 #include <fcntl.h>
@@ -79,13 +80,30 @@ ResultCache::segmentFileName(std::uint64_t id)
     return buf;
 }
 
+CachedEntry
+CachedEntry::of(const CheckpointEntry& e, std::string line)
+{
+    CachedEntry c;
+    c.line = std::move(line);
+    c.failed = e.failed;
+    c.stopReason = e.failed ? e.failureReason : e.report.stopReason;
+    c.failureMessage = e.failureMessage;
+    return c;
+}
+
+CachedEntry
+CachedEntry::of(const CheckpointEntry& e)
+{
+    return of(e, serializeEntry(e));
+}
+
 std::string
-ResultCache::encodeLine(std::uint64_t key, const CheckpointEntry& e)
+ResultCache::encodeLine(std::uint64_t key, const std::string& entry_line)
 {
     std::string payload = "K|fp=";
     payload += hex16(key);
     payload += "|e=";
-    payload += escapeField(serializeEntry(e));
+    payload += escapeField(entry_line);
     payload += "|c=";
     payload += hex16(fnv1a64(
         std::string_view(payload.data(), payload.size() - 3)));
@@ -94,7 +112,7 @@ ResultCache::encodeLine(std::uint64_t key, const CheckpointEntry& e)
 
 bool
 ResultCache::decodeLine(std::string_view line, std::uint64_t& key,
-                        CheckpointEntry& out)
+                        CachedEntry& out)
 {
     if (line.size() < 2 || line.substr(0, 2) != "K|")
         return false;
@@ -113,7 +131,7 @@ ResultCache::decodeLine(std::string_view line, std::uint64_t& key,
     bool saw_fp = false;
     bool saw_e = false;
     std::uint64_t k = 0;
-    CheckpointEntry parsed;
+    CachedEntry parsed;
     while (!body.empty()) {
         const std::size_t bar = body.find('|');
         const std::string_view field =
@@ -132,9 +150,12 @@ ResultCache::decodeLine(std::string_view line, std::uint64_t& key,
             saw_fp = true;
         } else if (fkey == "e") {
             // The inner value is an escaped journal line with its
-            // own checksum; parseEntry revalidates it.
+            // own checksum; parseEntry revalidates it. The bytes are
+            // kept as read, never re-serialized.
             try {
-                parsed = parseEntry(unescapeField(v));
+                std::string entry_line = unescapeField(v);
+                const CheckpointEntry e = parseEntry(entry_line);
+                parsed = CachedEntry::of(e, std::move(entry_line));
             } catch (const CheckpointError&) {
                 return false;
             }
@@ -145,7 +166,7 @@ ResultCache::decodeLine(std::string_view line, std::uint64_t& key,
     if (!saw_fp || !saw_e)
         return false;
     key = k;
-    out = parsed;
+    out = std::move(parsed);
     return true;
 }
 
@@ -229,12 +250,12 @@ ResultCache::loadSegment(std::uint64_t id, const std::string& path)
         if (line.empty())
             continue;
         std::uint64_t key = 0;
-        CheckpointEntry entry;
+        CachedEntry entry;
         if (!decodeLine(line, key, entry)) {
             ++quarantined_;
             continue;
         }
-        index_[key] = Slot{entry, id};
+        index_[key] = Slot{std::move(entry), id};
         seg.keys.push_back(key);
         ++seg.lines;
     }
@@ -271,6 +292,17 @@ ResultCache::ensureActiveSegment()
 bool
 ResultCache::lookup(std::uint64_t key, CheckpointEntry& out)
 {
+    CachedEntry hit;
+    if (!lookup(key, hit))
+        return false;
+    // A stored line passed parseEntry when it was indexed.
+    out = parseEntry(hit.line);
+    return true;
+}
+
+bool
+ResultCache::lookup(std::uint64_t key, CachedEntry& out)
+{
     core::LockGuard lock(mutex_);
     const auto it = index_.find(key);
     if (it == index_.end()) {
@@ -288,9 +320,15 @@ ResultCache::lookup(std::uint64_t key, CheckpointEntry& out)
 void
 ResultCache::insert(std::uint64_t key, const CheckpointEntry& e)
 {
+    insert(key, CachedEntry::of(e));
+}
+
+void
+ResultCache::insert(std::uint64_t key, const CachedEntry& e)
+{
+    const std::string line = encodeLine(key, e.line) + "\n";
     core::LockGuard lock(mutex_);
     ensureActiveSegment();
-    const std::string line = encodeLine(key, e) + "\n";
     writeAll(fd_, line.data(), line.size());
     if (::fsync(fd_) != 0)
         fail("fsync of cache append failed");

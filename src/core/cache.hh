@@ -10,6 +10,12 @@
  * sim, {rate}, 1)`, which already hashes every result-determining
  * field plus kDeterminismEpoch — to the cell's CheckpointEntry.
  *
+ * In memory each key keeps the entry's canonical serializeEntry line
+ * (the bytes it was written with, or read back at replay), never a
+ * parsed Report: a hit hands out those bytes as they are, and only
+ * the three outcome fields the job engine branches on sit beside
+ * them (CachedEntry).
+ *
  * Storage is a directory of append-only *segment* files reusing the
  * checkpoint line discipline: each line carries its own FNV-1a
  * checksum and is fsync'd before the insert is acknowledged, so an
@@ -61,6 +67,27 @@ struct CacheOptions
     std::uint64_t segmentEntries = 256;
 };
 
+/**
+ * One cached point as the cache holds and hands it out: the entry's
+ * serializeEntry line, stored once and never re-serialized, plus the
+ * outcome fields core::Server reads to settle a job.
+ */
+struct CachedEntry
+{
+    /** serializeEntry bytes, no newline. Points are keyed and run as
+     * single-point grids, so this is the ri=0,si=0 form. */
+    std::string line;
+    bool failed = false;
+    /** failed ? failureReason : report.stopReason */
+    StopReason stopReason = StopReason::Completed;
+    std::string failureMessage;
+
+    /** @p e with @p line = serializeEntry(e). */
+    static CachedEntry of(const CheckpointEntry& e, std::string line);
+    /** @p e, serialized here. */
+    static CachedEntry of(const CheckpointEntry& e);
+};
+
 /** Counters for the stats verb and the shutdown manifest. */
 struct CacheStats
 {
@@ -95,14 +122,20 @@ class ResultCache
     ResultCache(const ResultCache&) = delete;
     ResultCache& operator=(const ResultCache&) = delete;
 
-    /** Look up @p key; on a hit copy the entry into @p out and
-     * freshen its segment's LRU stamp. */
+    /** Look up @p key; on a hit copy the stored entry into @p out
+     * and freshen its segment's LRU stamp. */
+    bool lookup(std::uint64_t key, CachedEntry& out)
+        ORION_EXCLUDES(mutex_);
+    /** As above, parsed into a full CheckpointEntry (tests and tools
+     * that inspect the Report). */
     bool lookup(std::uint64_t key, CheckpointEntry& out)
         ORION_EXCLUDES(mutex_);
 
     /** Append (key, entry) to the active segment (fsync'd) and
      * index it. Rotates/evicts segments per CacheOptions.
      * @throw CacheError when the append cannot be made durable. */
+    void insert(std::uint64_t key, const CachedEntry& e)
+        ORION_EXCLUDES(mutex_);
     void insert(std::uint64_t key, const CheckpointEntry& e)
         ORION_EXCLUDES(mutex_);
 
@@ -122,13 +155,15 @@ class ResultCache
     /// @name Wire format (exposed for tests and the fuzz harness)
     /// @{
     /** One segment line (no newline): "K|fp=<hex16>|e=<escaped
-     * serializeEntry bytes>|c=<hex16 FNV-1a of everything before
-     * the |c= field>". */
+     * @p entry_line>|c=<hex16 FNV-1a of everything before the |c=
+     * field>", where @p entry_line is serializeEntry bytes. */
     static std::string encodeLine(std::uint64_t key,
-                                  const CheckpointEntry& e);
-    /** Decode one segment line; false on any damage (never throws). */
+                                  const std::string& entry_line);
+    /** Decode one segment line; false on any damage (never throws).
+     * The inner entry is parsed once to validate it and to read its
+     * outcome; @p out keeps its unescaped bytes. */
     static bool decodeLine(std::string_view line, std::uint64_t& key,
-                           CheckpointEntry& out);
+                           CachedEntry& out);
     /** "seg_<id, 6 digits>.orc". */
     static std::string segmentFileName(std::uint64_t id);
     /** The segment header line: "#orion-cache v1". */
@@ -154,7 +189,7 @@ class ResultCache
 
     struct Slot
     {
-        CheckpointEntry entry;
+        CachedEntry entry;
         std::uint64_t segment = 0;
     };
     /** key -> latest entry. Never iterated (order would be

@@ -129,8 +129,9 @@ validateTraffic(const NetworkConfig& network, const TrafficConfig& traffic)
         net::Trace::validate(*traffic.trace, nodes);
         break;
       case net::TrafficPattern::Transpose:
-        if (network.net.dims.size() != 2)
-            fail("transpose traffic needs a 2-D network");
+        if (network.net.dims.size() != 2 ||
+            network.net.dims[0] != network.net.dims[1])
+            fail("transpose traffic needs a square 2-D network");
         break;
       default:
         break;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <ctime>
 #include <exception>
 #include <filesystem>
@@ -179,10 +180,14 @@ PointRunner::PointRunner(const NetworkConfig& network,
     if (!worker_)
         return;
     worker_->args = workerArgs(worker_->args);
-    char tmpl[] = "/tmp/orion_worker.XXXXXX";
-    if (::mkdtemp(tmpl) == nullptr)
+    const char* tmpdir = std::getenv("TMPDIR");
+    const std::string base =
+        tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp";
+    std::string tmpl = base + "/orion_worker.XXXXXX";
+    if (::mkdtemp(tmpl.data()) == nullptr)
         throw std::runtime_error(
-            "point runner: cannot create the worker scratch directory");
+            "point runner: cannot create the worker scratch directory "
+            "under '" + base + "'");
     scratchDir_ = tmpl;
 }
 

@@ -161,7 +161,8 @@ class PointRunner
     /**
      * @p worker selects the backend: unset runs attempts in process,
      * set runs each attempt in its own orion_sim and creates the
-     * scratch directory their report files pass through.
+     * scratch directory their report files pass through
+     * (orion_worker.XXXXXX under $TMPDIR, or /tmp when it is unset).
      * @throw std::runtime_error when that directory cannot be made.
      */
     PointRunner(const NetworkConfig& network, const TrafficConfig& traffic,

@@ -354,5 +354,16 @@ errorReply(const std::string& code, const std::string& message)
     return out;
 }
 
+std::string
+expiredReply(std::uint64_t job, std::size_t retained)
+{
+    return errorReply("expired",
+                      "job " + std::to_string(job) +
+                          " was retired past the " +
+                          std::to_string(retained) +
+                          " newest settled jobs; resubmit it to be "
+                          "served from the cache");
+}
+
 } // namespace orion::core::proto
 

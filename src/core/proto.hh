@@ -15,10 +15,11 @@
  *
  * Error replies are structured: {"ok":false,"error":CODE,
  * "message":...} with CODE one of "bad_request", "invalid_config",
- * "queue_full", "unknown_job", "not_ready", "job_failed",
- * "draining". Admission control depends on these being machine-
- * readable — a client backs off on "queue_full", gives up on
- * "invalid_config".
+ * "queue_full", "unknown_job", "expired", "not_ready", "job_failed",
+ * "cancelled", "draining". Admission control depends on these being
+ * machine-readable — a client backs off on "queue_full", gives up on
+ * "invalid_config", and resubmits on "expired" (an issued job retired
+ * past the daemon's retention bound; its points are still cached).
  *
  * The parser is deliberately small and self-contained (no external
  * JSON dependency): objects keep insertion order, numbers are
@@ -105,6 +106,10 @@ Request parseRequest(const std::string& line);
 /** {"schema":...,"ok":false,"error":code,"message":message} */
 std::string errorReply(const std::string& code,
                        const std::string& message);
+
+/** The "expired" error reply for @p job, an issued job erased past
+ * the daemon's @p retained newest settled jobs. */
+std::string expiredReply(std::uint64_t job, std::size_t retained);
 
 } // namespace orion::core::proto
 

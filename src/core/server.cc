@@ -80,6 +80,15 @@ Server::status(std::uint64_t id, JobStatus& out) const
 }
 
 bool
+Server::retired(std::uint64_t id) const
+{
+    core::LockGuard lock(mutex_);
+    // Ids are issued in order and a job leaves the table only when
+    // retired, so an issued id that is missing has expired.
+    return id != 0 && id < nextJobId_ && jobs_.count(id) == 0;
+}
+
+bool
 Server::cancelJob(std::uint64_t id)
 {
     core::LockGuard lock(mutex_);
@@ -91,7 +100,9 @@ Server::cancelJob(std::uint64_t id)
         job.status.state = JobState::Cancelled;
         job.status.error = "cancelled";
         ++cancelled_;
-        // Leave the id in queue_; workers skip non-Queued entries.
+        // Leave the id in queue_; workers skip entries that are no
+        // longer Queued or no longer in the table.
+        settle(job);
     }
     job.token.cancel(CancelCause::Interrupt);
     return true;
@@ -111,6 +122,7 @@ Server::stats() const
     s.running = running_;
     s.pointsComputed = pointsComputed_;
     s.pointsFromCache = pointsFromCache_;
+    s.jobsResident = jobs_.size();
     return s;
 }
 
@@ -130,6 +142,7 @@ Server::drain()
                     it->second->status.state = JobState::Cancelled;
                     it->second->status.error = "cancelled (drain)";
                     ++cancelled_;
+                    settle(*it->second);
                 }
             }
             queue_.clear();
@@ -177,35 +190,37 @@ Server::workerMain()
 }
 
 void
+Server::settle(Job& job)
+{
+    // The newest settled job is never the one erased here, so @p job
+    // stays valid for the caller.
+    job.spec.reset();
+    settled_.push_back(job.status.id);
+    while (settled_.size() > kRetainedJobs) {
+        jobs_.erase(settled_.front());
+        settled_.pop_front();
+    }
+}
+
+void
 Server::runJob(Job& job)
 {
-    const JobSpec& spec = job.spec;
+    // Running jobs are never retired, so the spec outlives this call.
+    const JobSpec& spec = *job.spec;
     const double budget = spec.timeoutSeconds > 0.0
                               ? spec.timeoutSeconds
                               : opts_.defaultTimeoutSeconds;
     const double t0 = monotonicSeconds();
-    std::optional<WorkerCommand> worker = opts_.worker;
-    if (worker) {
-        worker->args.insert(worker->args.end(), spec.argv.begin(),
-                            spec.argv.end());
-    }
 
     std::string text;
     bool any_failed = false;
     bool deadline_hit = false;
     std::string first_error;
+    // Built on the first miss: a job served wholly from the cache
+    // never pays for it (with --isolate, a scratch directory).
     std::optional<PointRunner> runner;
-    try {
-        runner.emplace(spec.network, spec.traffic, spec.sim,
-                       opts_.retry, worker);
-    } catch (const std::runtime_error& e) {
-        // No scratch directory for the workers: this job fails, the
-        // daemon does not.
-        any_failed = true;
-        first_error = e.what();
-    }
 
-    for (std::size_t i = 0; runner && i < spec.rates.size(); ++i) {
+    for (std::size_t i = 0; i < spec.rates.size(); ++i) {
         if (job.token.cancelled())
             break;
         double remaining = 0.0;
@@ -219,24 +234,46 @@ Server::runJob(Job& job)
         const double rate = spec.rates[i];
         std::uint64_t key = 0;
         bool cached = false;
+        // The point in its canonical ri=0,si=0 form; `entry` is its
+        // parsed form, filled on a miss or when i > 0 needs it.
+        CachedEntry point;
         CheckpointEntry entry;
         if (opts_.cache != nullptr) {
             TrafficConfig t = spec.traffic;
             t.injectionRate = rate;
             key = sweepFingerprint(spec.network, t, spec.sim, {rate},
                                    1);
-            cached = opts_.cache->lookup(key, entry);
+            cached = opts_.cache->lookup(key, point);
         }
         if (!cached) {
+            if (!runner) {
+                std::optional<WorkerCommand> worker = opts_.worker;
+                if (worker) {
+                    worker->args.insert(worker->args.end(),
+                                        spec.argv.begin(),
+                                        spec.argv.end());
+                }
+                try {
+                    runner.emplace(spec.network, spec.traffic,
+                                   spec.sim, opts_.retry, worker);
+                } catch (const std::runtime_error& e) {
+                    // No scratch directory for the workers: this job
+                    // fails, the daemon does not.
+                    any_failed = true;
+                    first_error = e.what();
+                    break;
+                }
+            }
             // Every point runs as its own single-point grid at (0, 0),
             // so its seed, like its cache key, ignores how the job
             // batched it.
             entry = runner->run(rate, 0, 0, &job.token, remaining).entry;
+            point = CachedEntry::of(entry);
             // Only deterministic outcomes are cached — the same
             // exclusion the checkpoint journal applies.
             if (opts_.cache != nullptr && journalable(entry)) {
                 try {
-                    opts_.cache->insert(key, entry);
+                    opts_.cache->insert(key, point);
                 } catch (const CacheError& e) {
                     // A full disk must not fail the job; the result
                     // is still returned, just not cached.
@@ -245,24 +282,28 @@ Server::runJob(Job& job)
                 }
             }
         }
-        const StopReason sr = entry.failed ? entry.failureReason
-                                           : entry.report.stopReason;
-        if (sr == StopReason::Deadline) {
+        if (point.stopReason == StopReason::Deadline) {
             deadline_hit = true;
             break;
         }
-        if (sr == StopReason::Interrupted)
+        if (point.stopReason == StopReason::Interrupted)
             break;
-        if (entry.failed) {
+        if (point.failed) {
             any_failed = true;
             if (first_error.empty())
-                first_error = entry.failureMessage;
+                first_error = point.failureMessage;
         }
         // The job's result addresses points by their position in the
-        // submitted grid; the cache stores the canonical ri=0 form.
-        entry.rateIndex = i;
-        entry.seedIndex = 0;
-        text += serializeEntry(entry);
+        // submitted grid. At i == 0 that is the canonical line itself.
+        if (i == 0) {
+            text += point.line;
+        } else {
+            if (cached)
+                entry = parseEntry(point.line);
+            entry.rateIndex = i;
+            entry.seedIndex = 0;
+            text += serializeEntry(entry);
+        }
         text += "\n";
 
         core::LockGuard lock(mutex_);
@@ -297,6 +338,7 @@ Server::runJob(Job& job)
         ++completed_;
     }
     --running_;
+    settle(job);
 }
 
 } // namespace orion::core

@@ -27,7 +27,16 @@
  *  - **Caching.** With a ResultCache attached, each point is keyed
  *    by its single-point sweepFingerprint; hits skip the simulation
  *    entirely and are byte-identical to a fresh run because entries
- *    round-trip through the hexfloat checkpoint format.
+ *    round-trip through the hexfloat checkpoint format. A hit at grid
+ *    index 0 appends the cache's stored line as it is; only later
+ *    grid positions re-serialize (their ri= field differs).
+ *
+ *  - **Retention.** Memory is bounded by what is live: queued and
+ *    running jobs, plus the newest kRetainedJobs settled ones. A job
+ *    drops its JobSpec when it settles; past the bound the oldest
+ *    settled job is erased, and its id answers "expired" (retired())
+ *    from then on. Its points stay in the cache, so a resubmit of the
+ *    same job is served from there.
  *
  * Determinism contract: a point always runs as its own single-point
  * grid — the runner's coordinates are (0, 0) regardless of the
@@ -60,6 +69,10 @@
 #include "core/sync.hh"
 
 namespace orion::core {
+
+/** Settled (done, failed or cancelled) jobs kept for status/result;
+ * older ones are erased (docs/ROBUSTNESS.md, "Job engine"). */
+constexpr std::size_t kRetainedJobs = 1024;
 
 enum class JobState
 {
@@ -138,6 +151,9 @@ struct ServerStats
     std::uint64_t running = 0;
     std::uint64_t pointsComputed = 0;
     std::uint64_t pointsFromCache = 0;
+    /** Jobs in the table: live ones plus at most kRetainedJobs
+     * settled ones. */
+    std::uint64_t jobsResident = 0;
 };
 
 class Server
@@ -161,13 +177,18 @@ class Server
                          std::string& error_message)
         ORION_EXCLUDES(mutex_);
 
-    /** Snapshot @p id into @p out; false for an unknown id. */
+    /** Snapshot @p id into @p out; false for an id that is not in
+     * the table (never issued, or retired). */
     bool status(std::uint64_t id, JobStatus& out) const
         ORION_EXCLUDES(mutex_);
 
+    /** True when @p id was issued and has since been erased past
+     * the retention bound (the "expired" reply). */
+    bool retired(std::uint64_t id) const ORION_EXCLUDES(mutex_);
+
     /** Cancel @p id (the "cancel" verb): a queued job flips to Cancelled; a running job's
      * token fires and the job winds down cooperatively. False for an
-     * unknown id. */
+     * id that is not in the table. */
     bool cancelJob(std::uint64_t id) ORION_EXCLUDES(mutex_);
 
     ServerStats stats() const ORION_EXCLUDES(mutex_);
@@ -182,7 +203,8 @@ class Server
   private:
     struct Job
     {
-        JobSpec spec;
+        /** Reset when the job settles. */
+        std::optional<JobSpec> spec;
         JobStatus status;
         /** Fired by cancelJob() and by job-deadline promotion. */
         CancelToken token;
@@ -191,6 +213,9 @@ class Server
     void workerMain() ORION_EXCLUDES(mutex_);
     /** Execute @p job (lock NOT held; only status updates lock). */
     void runJob(Job& job) ORION_EXCLUDES(mutex_);
+    /** @p job has reached a terminal state: drop its spec, and erase
+     * the oldest settled job past kRetainedJobs. */
+    void settle(Job& job) ORION_REQUIRES(mutex_);
 
     const ServerOptions opts_;
 
@@ -199,6 +224,8 @@ class Server
     std::map<std::uint64_t, std::unique_ptr<Job>> jobs_
         ORION_GUARDED_BY(mutex_);
     std::deque<std::uint64_t> queue_ ORION_GUARDED_BY(mutex_);
+    /** Settled job ids, oldest first (at most kRetainedJobs). */
+    std::deque<std::uint64_t> settled_ ORION_GUARDED_BY(mutex_);
     std::uint64_t nextJobId_ ORION_GUARDED_BY(mutex_) = 1;
     bool draining_ ORION_GUARDED_BY(mutex_) = false;
     std::uint64_t submitted_ ORION_GUARDED_BY(mutex_) = 0;

@@ -93,7 +93,7 @@ int
 TrafficGenerator::pickDestination(int node, sim::Rng& rng)
 {
     const auto n = static_cast<int>(topo_.numNodes());
-    assert(n > 1 && injects(node));
+    assert(n > 1);
 
     switch (params_.pattern) {
       case TrafficPattern::UniformRandom: {
@@ -115,24 +115,35 @@ TrafficGenerator::pickDestination(int node, sim::Rng& rng)
         return d;
       }
       case TrafficPattern::Transpose: {
-        Coord c = topo_.coordsOf(node);
-        std::swap(c[0], c[1]);
-        return topo_.nodeAt(c);
+        // Swap the first two coordinates. Dimension 0 has stride 1 and
+        // dimension 1 stride radix(0), so the swap moves the id by
+        // (radix(0) - 1) * (x - y). validateTraffic requires a square
+        // 2-D network.
+        assert(topo_.dimensions() == 2 && topo_.radix(0) == topo_.radix(1));
+        const auto x = static_cast<int>(topo_.coordOf(node, 0));
+        const auto y = static_cast<int>(topo_.coordOf(node, 1));
+        return node + (static_cast<int>(topo_.radix(0)) - 1) * (x - y);
       }
       case TrafficPattern::BitComplement:
         return n - 1 - node;
       case TrafficPattern::Tornado: {
-        Coord c = topo_.coordsOf(node);
+        // Shift every coordinate half-way round its ring; the id is
+        // rebuilt row-major, dimension 0 fastest.
+        int dst = 0;
+        int stride = 1;
         for (unsigned d = 0; d < topo_.dimensions(); ++d) {
             const unsigned k = topo_.radix(d);
-            c[d] = (c[d] + (k - 1) / 2) % k;
+            const unsigned c = (topo_.coordOf(node, d) + (k - 1) / 2) % k;
+            dst += static_cast<int>(c) * stride;
+            stride *= static_cast<int>(k);
         }
-        return topo_.nodeAt(c);
+        return dst;
       }
       case TrafficPattern::NearestNeighbor: {
-        Coord c = topo_.coordsOf(node);
-        c[0] = (c[0] + 1) % topo_.radix(0);
-        return topo_.nodeAt(c);
+        // Next node along dimension 0 (stride 1), wrapping.
+        const unsigned x = topo_.coordOf(node, 0);
+        return node - static_cast<int>(x) +
+               static_cast<int>((x + 1) % topo_.radix(0));
       }
       case TrafficPattern::Hotspot: {
         if (node != params_.hotspotNode &&

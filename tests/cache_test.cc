@@ -255,12 +255,15 @@ TEST(ResultCache, LruEvictionBoundsLiveEntries)
 TEST(ResultCache, EncodeDecodeRejectsDamage)
 {
     const core::CheckpointEntry e = syntheticEntry(3);
-    const std::string line = core::ResultCache::encodeLine(9, e);
+    const std::string line =
+        core::ResultCache::encodeLine(9, core::serializeEntry(e));
     std::uint64_t key = 0;
-    core::CheckpointEntry out;
+    core::CachedEntry out;
     ASSERT_TRUE(core::ResultCache::decodeLine(line, key, out));
     EXPECT_EQ(key, 9u);
-    EXPECT_EQ(core::serializeEntry(out), core::serializeEntry(e));
+    EXPECT_EQ(out.line, core::serializeEntry(e));
+    EXPECT_EQ(out.failed, e.failed);
+    EXPECT_EQ(out.failureMessage, e.failureMessage);
 
     // Any single-character damage must be caught by a checksum.
     std::string mut = line;

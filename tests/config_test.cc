@@ -163,6 +163,14 @@ TEST(Validation, RejectsBadTraffic)
     t = {};
     t.pattern = net::TrafficPattern::Trace; // no trace supplied
     EXPECT_THROW(validateTraffic(c, t), std::invalid_argument);
+
+    // Transpose swaps the two coordinates, so both radices must match.
+    t = {};
+    t.pattern = net::TrafficPattern::Transpose;
+    EXPECT_NO_THROW(validateTraffic(c, t));
+    NetworkConfig rect = c;
+    rect.net.dims = {4, 8};
+    EXPECT_THROW(validateTraffic(rect, t), std::invalid_argument);
 }
 
 TEST(Validation, SimulationConstructorValidates)

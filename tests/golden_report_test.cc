@@ -1,12 +1,13 @@
 /**
  * @file
- * Golden Reports: every router microarchitecture, arbiter, topology
- * and the fault and deadlock paths must reproduce, byte for byte, the
- * checkpoint-entry line pinned in golden_reports.txt. The entry holds
- * each Report figure as an exact hexfloat (latency, throughput, power
- * by class and by node) and every event count, so any change to the
- * flit-hop datapath that moves a single energy bit or reorders one
- * power event fails here with the differing fields in view.
+ * Golden Reports: every router microarchitecture, arbiter, topology,
+ * the fault and deadlock paths and the permutation traffic patterns
+ * must reproduce, byte for byte, the checkpoint-entry line pinned in
+ * golden_reports.txt. The entry holds each Report figure as an exact
+ * hexfloat (latency, throughput, power by class and by node) and
+ * every event count, so any change to the flit-hop datapath that
+ * moves a single energy bit or reorders one power event fails here
+ * with the differing fields in view.
  */
 
 #include <cctype>
@@ -86,7 +87,7 @@ TEST(GoldenReports, CoverEveryPinnedConfiguration)
 {
     // Guards against a truncated or unreadable data file silently
     // instantiating no cases.
-    EXPECT_EQ(loadGoldenCases().size(), 28u);
+    EXPECT_EQ(loadGoldenCases().size(), 34u);
 }
 
 } // namespace

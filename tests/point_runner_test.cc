@@ -11,6 +11,8 @@
  */
 
 #include <chrono>
+#include <cstdlib>
+#include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
@@ -173,6 +175,47 @@ TEST(PointRunner, SweepAndServerReturnTheSameEntryBytes)
 
     EXPECT_EQ(serverResult(kArgs, 0.05, false), swept);
     EXPECT_EQ(serverResult(kArgs, 0.05, true), swept);
+}
+
+/** Names under @p dir (no "." or ".."). */
+std::vector<std::string>
+listDir(const std::string& dir)
+{
+    std::vector<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir))
+        names.push_back(e.path().filename().string());
+    return names;
+}
+
+TEST(PointRunner, ScratchDirectoryFollowsTmpdir)
+{
+    std::string base = ::testing::TempDir() + "point_runner_tmpdir.XXXXXX";
+    ASSERT_NE(::mkdtemp(base.data()), nullptr);
+    const char* old = std::getenv("TMPDIR");
+    const std::string saved = old != nullptr ? old : "";
+    ::setenv("TMPDIR", base.c_str(), 1);
+
+    const cli::Options o = cli::parse(kArgs);
+    std::vector<std::string> during;
+    core::PointRun run;
+    {
+        const core::PointRunner runner(o.network, o.traffic, o.sim,
+                                       RetryPolicy{}, worker(kArgs));
+        during = listDir(base);
+        run = runner.run(0.05, 0, 0, nullptr, 0.0);
+    }
+    const std::vector<std::string> after = listDir(base);
+    if (old != nullptr)
+        ::setenv("TMPDIR", saved.c_str(), 1);
+    else
+        ::unsetenv("TMPDIR");
+    std::filesystem::remove_all(base);
+
+    ASSERT_EQ(during.size(), 1u);
+    EXPECT_EQ(during[0].rfind("orion_worker.", 0), 0u) << during[0];
+    EXPECT_TRUE(after.empty()) << "scratch directory left behind";
+    EXPECT_FALSE(run.entry.failed) << run.entry.failureMessage;
+    EXPECT_TRUE(run.entry.report.completed);
 }
 
 TEST(PointRunner, WorkerArgsDropEveryPerRunOutput)

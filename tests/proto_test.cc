@@ -138,6 +138,26 @@ TEST(Proto, ErrorReplyIsParseableAndEscaped)
         << "replies must stay single-line (NDJSON framing)";
 }
 
+TEST(Proto, ExpiredReplyShape)
+{
+    const std::string reply = proto::expiredReply(7, 1024);
+    const proto::JsonValue v = proto::parseJson(reply);
+    ASSERT_EQ(v.kind, proto::JsonValue::Kind::Object);
+    ASSERT_EQ(v.members.size(), 4u);
+    EXPECT_EQ(v.members[0].first, "schema");
+    EXPECT_EQ(v.members[1].first, "ok");
+    EXPECT_EQ(v.members[2].first, "error");
+    EXPECT_EQ(v.members[3].first, "message");
+    EXPECT_EQ(v.find("schema")->text, proto::kSchema);
+    EXPECT_EQ(v.find("ok")->kind, proto::JsonValue::Kind::Boolean);
+    EXPECT_FALSE(v.find("ok")->boolean);
+    EXPECT_EQ(v.find("error")->text, "expired");
+    EXPECT_EQ(v.find("message")->text,
+              "job 7 was retired past the 1024 newest settled jobs; "
+              "resubmit it to be served from the cache");
+    EXPECT_EQ(reply.find('\n'), std::string::npos);
+}
+
 TEST(Proto, JsonStringRoundTripsControlBytes)
 {
     const std::string raw = "a|b\tc\x01" "d\"e\\f";

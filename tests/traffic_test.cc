@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/traffic.hh"
@@ -156,6 +157,44 @@ TEST(Hotspot, HotNodeSendsUniform)
     sim::Rng rng(9);
     for (int i = 0; i < 1000; ++i)
         ASSERT_NE(gen.pickDestination(9, rng), 9);
+}
+
+TEST(Permutations, MatchCoordinateReference)
+{
+    // The permutation patterns compute destinations by stride
+    // arithmetic; check every node against the coordinate-vector
+    // definition on square, rectangular and 3-D shapes.
+    for (const Topology& topo :
+         {Topology({4, 4}, true), Topology({5, 5}, false),
+          Topology({3, 5, 4}, true), Topology({6, 2}, true)}) {
+        for (const auto pattern :
+             {TrafficPattern::Transpose, TrafficPattern::Tornado,
+              TrafficPattern::NearestNeighbor}) {
+            if (pattern == TrafficPattern::Transpose &&
+                (topo.dimensions() != 2 || topo.radix(0) != topo.radix(1)))
+                continue;
+            TrafficGenerator gen(topo, makeParams(pattern, 0.1));
+            sim::Rng rng(11);
+            for (int node = 0; node < static_cast<int>(topo.numNodes());
+                 ++node) {
+                if (!gen.injects(node))
+                    continue;
+                Coord c = topo.coordsOf(node);
+                if (pattern == TrafficPattern::Transpose) {
+                    std::swap(c[0], c[1]);
+                } else if (pattern == TrafficPattern::Tornado) {
+                    for (unsigned d = 0; d < topo.dimensions(); ++d)
+                        c[d] = (c[d] + (topo.radix(d) - 1) / 2) %
+                               topo.radix(d);
+                } else {
+                    c[0] = (c[0] + 1) % topo.radix(0);
+                }
+                ASSERT_EQ(gen.pickDestination(node, rng), topo.nodeAt(c))
+                    << "pattern " << static_cast<int>(pattern) << " node "
+                    << node;
+            }
+        }
+    }
 }
 
 TEST(AllPatterns, DestinationIsNeverSelf)

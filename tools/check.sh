@@ -6,6 +6,7 @@
 #                parallel-sweep tests at the paranoid check level,
 #                plus a fault-injection orion_sweep smoke run
 #   3. tsan:     ThreadSanitizer build of the parallel sweep engine
+#                and the served job engine (server_test)
 #   4. overhead: bench/sweep_speed at check levels off/cheap/paranoid,
 #                reporting the runtime cost of the invariant layer
 #                (cheap must stay under 5%), then
@@ -42,7 +43,11 @@
 #                the same bytes; then admission control is
 #                exercised (a tiny queue bound must reject with the
 #                structured queue_full code) and a malformed
-#                submission must be rejected as invalid_config
+#                submission must be rejected as invalid_config;
+#                last, a retention drill submits more cache-hit jobs
+#                than the daemon retains: job 1 must answer expired,
+#                its resubmit must cmp equal to the first result, and
+#                stats must show jobs_resident within the bound
 #   8. lint:     tools/orion_lint.py, plus clang-tidy when installed
 #   9. analysis: tools/orion_analyze.py (determinism/concurrency
 #                rules + thread-safety annotation coverage) and its
@@ -99,9 +104,10 @@ if run_leg tsan; then
     echo "== TSan: parallel sweep engine under ThreadSanitizer =="
     cmake -B "$root/build-tsan" -S "$root" -DORION_TSAN=ON
     cmake --build "$root/build-tsan" -j "$jobs" \
-        --target parallel_sweep_test sweep_test
+        --target parallel_sweep_test sweep_test server_test
     ORION_CHECK=paranoid "$root/build-tsan/tests/parallel_sweep_test"
     ORION_CHECK=paranoid "$root/build-tsan/tests/sweep_test"
+    "$root/build-tsan/tests/server_test"
 fi
 
 if run_leg overhead; then
@@ -485,6 +491,94 @@ EOF
     "$submit" --socket "$sock" cancel 2 > /dev/null
     kill -TERM "$daemon"
     wait "$daemon"
+
+    echo "== serve: job retention bound, expired ids, cache resubmit =="
+    # The daemon keeps live jobs plus the newest kRetainedJobs settled
+    # ones; older ids answer "expired" and their points stay cached.
+    bound=$(sed -n 's/.*kRetainedJobs = \([0-9]*\);.*/\1/p' \
+        "$root/src/core/server.hh")
+    [ -n "$bound" ] || {
+        echo "FAIL: cannot read kRetainedJobs from core/server.hh"
+        exit 1
+    }
+    sock="$vdir/retain.sock"
+    "$served" --socket "$sock" --cache-dir "$vdir/cache-retain" \
+        --workers 2 2> "$vdir/retain.log" &
+    daemon=$!
+    wait_ready
+    # Job 1 fills the key every later job hits.
+    pointargs="--rate 0.05 --sample 200 --max-cycles 60000"
+    "$submit" --socket "$sock" submit --wait --poll-ms 10 \
+        --out "$vdir/retain1.txt" -- $pointargs > /dev/null
+    python3 - "$sock" "$((bound + 64))" $pointargs <<'EOF'
+import json, socket, sys, time
+sock, count, args = sys.argv[1], int(sys.argv[2]), sys.argv[3:]
+
+def ask(req):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(sock)
+    s.sendall((json.dumps(dict(req, schema="orion-served-v1")) + "\n")
+              .encode())
+    data = b""
+    while not data.endswith(b"\n"):
+        chunk = s.recv(65536)
+        assert chunk, "daemon closed the connection"
+        data += chunk
+    s.close()
+    return json.loads(data)
+
+for _ in range(count):
+    r = ask({"verb": "submit", "args": args})
+    assert r["ok"], r
+    while True:
+        res = ask({"verb": "result", "job": r["job"]})
+        if res["ok"]:
+            assert res["cache_hits"] == 1, res
+            break
+        assert res["error"] == "not_ready", res
+        time.sleep(0.001)
+print(f"{count} cache-hit jobs served past the retention bound")
+EOF
+    st=$("$submit" --socket "$sock" status 1 2> /dev/null) || true
+    case "$st" in
+        *'"error":"expired"'*) ;;
+        *)
+            echo "FAIL: expected job 1 to answer expired, got: $st"
+            exit 1 ;;
+    esac
+    rc=0
+    "$submit" --socket "$sock" result 1 > /dev/null 2>&1 || rc=$?
+    [ "$rc" -eq 2 ] || {
+        echo "FAIL: expected structured-rejection exit 2 for an" \
+             "expired result, got $rc"
+        exit 1
+    }
+    st=$("$submit" --socket "$sock" status 999999999 2> /dev/null) || true
+    case "$st" in
+        *'"error":"unknown_job"'*) ;;
+        *)
+            echo "FAIL: expected a never-issued id to stay unknown_job:" \
+                 "$st"
+            exit 1 ;;
+    esac
+    echo "job 1 expired; a never-issued id is still unknown_job"
+    "$submit" --socket "$sock" submit --wait --poll-ms 10 \
+        --out "$vdir/retain2.txt" -- $pointargs > /dev/null
+    cmp "$vdir/retain1.txt" "$vdir/retain2.txt"
+    echo "resubmitted job served from cache, byte-identical to job 1"
+    stats=$("$submit" --socket "$sock" stats)
+    kill -TERM "$daemon"
+    wait "$daemon"
+    python3 - "$stats" "$bound" <<'EOF'
+import json, sys
+s = json.loads(sys.argv[1])
+bound = int(sys.argv[2])
+assert s["ok"], s
+resident = s["server"]["jobs_resident"]
+assert resident <= bound, f"{resident} jobs resident past the bound {bound}"
+assert s["server"]["completed"] == bound + 66, s["server"]
+print(f"jobs_resident {resident} <= retention bound {bound}")
+EOF
 fi
 
 if run_leg lint; then

@@ -215,8 +215,10 @@ okPrefix()
            ",\"ok\":true";
 }
 
+/** The server counters object. The stats reply adds jobs_resident;
+ * the shutdown manifest keeps its original fields. */
 std::string
-serverStatsJson(const orion::core::ServerStats& s)
+serverStatsJson(const orion::core::ServerStats& s, bool with_resident)
 {
     std::ostringstream out;
     out << "{\"submitted\":" << s.submitted
@@ -227,7 +229,10 @@ serverStatsJson(const orion::core::ServerStats& s)
         << ",\"queue_depth\":" << s.queueDepth
         << ",\"running\":" << s.running
         << ",\"points_computed\":" << s.pointsComputed
-        << ",\"points_from_cache\":" << s.pointsFromCache << "}";
+        << ",\"points_from_cache\":" << s.pointsFromCache;
+    if (with_resident)
+        out << ",\"jobs_resident\":" << s.jobsResident;
+    out << "}";
     return out.str();
 }
 
@@ -264,7 +269,7 @@ handleSubmit(const orion::core::proto::Request& req, Server& server,
     }
     spec.timeoutSeconds = req.timeoutSeconds;
     // Only isolated workers read the flags; in-process jobs leave
-    // them out, since the server keeps every finished job.
+    // them out.
     if (!dopts.isolateExe.empty())
         spec.argv = req.args;
 
@@ -294,7 +299,7 @@ handleRequest(const std::string& line, Server& server,
 
     if (req.verb == "stats") {
         std::string out = okPrefix();
-        out += ",\"server\":" + serverStatsJson(server.stats());
+        out += ",\"server\":" + serverStatsJson(server.stats(), true);
         if (cache != nullptr)
             out += ",\"cache\":" + cache->manifestJson();
         out += "}";
@@ -303,6 +308,9 @@ handleRequest(const std::string& line, Server& server,
 
     orion::core::JobStatus js;
     if (!server.status(req.job, js)) {
+        if (server.retired(req.job))
+            return proto::expiredReply(req.job,
+                                       orion::core::kRetainedJobs);
         return proto::errorReply(
             "unknown_job", "no job " + std::to_string(req.job));
     }
@@ -374,7 +382,7 @@ shutdownManifestJson(Server& server, ResultCache* cache, int sig)
     namespace proto = orion::core::proto;
     std::string out = "{\"schema\":\"orion-served-shutdown-v1\"";
     out += ",\"signal\":" + std::to_string(sig);
-    out += ",\"server\":" + serverStatsJson(server.stats());
+    out += ",\"server\":" + serverStatsJson(server.stats(), false);
     if (cache != nullptr)
         out += ",\"cache\":" + cache->manifestJson();
     out += "}\n";

@@ -20,7 +20,9 @@
  *
  * Exit codes: 0 success, 1 usage or connection failure, 2 structured
  * rejection (queue_full, invalid_config, bad_request, unknown_job,
- * not_ready, draining), 3 the job itself failed or was cancelled.
+ * expired, not_ready, draining), 3 the job itself failed or was
+ * cancelled. "expired" names a job retired past the daemon's
+ * retention bound: resubmit it, and the cache serves its points.
  */
 #include <cerrno>
 #include <chrono>
