@@ -6,6 +6,7 @@
 
 #include <cstdio>
 
+#include "core/log.hh"
 #include "core/report.hh"
 #include "core/sweep.hh"
 #include "net/trace.hh"
@@ -14,47 +15,75 @@ namespace orion::cli {
 
 namespace {
 
-[[noreturn]] void
-fail(const std::string& what)
+using core::flags::kSwitch;
+using core::flags::kText;
+using core::flags::real;
+using core::flags::reject;
+using core::flags::u32;
+using core::flags::u64;
+
+constexpr auto kResult = core::flags::Class::Result;
+constexpr auto kControl = core::flags::Class::Control;
+constexpr auto kLocal = core::flags::Class::Local;
+
+/** One accepted spelling of an enumerated flag value. */
+template <class V>
+struct Name
 {
-    throw std::invalid_argument("orion_sim: " + what +
-                                " (--help for usage)");
+    const char* name;
+    V value;
+};
+
+template <class V, std::size_t N>
+V
+byName(const std::string& text, const Name<V> (&names)[N],
+       const char* what)
+{
+    for (const Name<V>& n : names) {
+        if (text == n.name)
+            return n.value;
+    }
+    reject(std::string("unknown ") + what + " '" + text + "'");
 }
 
-unsigned long long
-parseU64(const std::string& opt, const std::string& v)
-{
-    // stoull silently wraps negative inputs; reject them explicitly.
-    if (!v.empty() && v.front() == '-')
-        fail(opt + ": must be non-negative: '" + v + "'");
-    try {
-        std::size_t used = 0;
-        const unsigned long long n = std::stoull(v, &used);
-        if (used != v.size())
-            fail(opt + ": not a number: '" + v + "'");
-        return n;
-    } catch (const std::invalid_argument&) {
-        fail(opt + ": not a number: '" + v + "'");
-    } catch (const std::out_of_range&) {
-        fail(opt + ": out of range: '" + v + "'");
-    }
-}
+constexpr Name<NetworkConfig (*)()> kPresets[] = {
+    {"wh64", &NetworkConfig::wh64}, {"vc16", &NetworkConfig::vc16},
+    {"vc64", &NetworkConfig::vc64}, {"vc128", &NetworkConfig::vc128},
+    {"xb", &NetworkConfig::xb},     {"cb", &NetworkConfig::cb},
+};
 
-double
-parseDouble(const std::string& opt, const std::string& v)
-{
-    try {
-        std::size_t used = 0;
-        const double d = std::stod(v, &used);
-        if (used != v.size())
-            fail(opt + ": not a number: '" + v + "'");
-        return d;
-    } catch (const std::invalid_argument&) {
-        fail(opt + ": not a number: '" + v + "'");
-    } catch (const std::out_of_range&) {
-        fail(opt + ": out of range: '" + v + "'");
-    }
-}
+constexpr Name<net::TrafficPattern> kPatterns[] = {
+    {"uniform", net::TrafficPattern::UniformRandom},
+    {"broadcast", net::TrafficPattern::Broadcast},
+    {"transpose", net::TrafficPattern::Transpose},
+    {"bitcomp", net::TrafficPattern::BitComplement},
+    {"tornado", net::TrafficPattern::Tornado},
+    {"neighbor", net::TrafficPattern::NearestNeighbor},
+    {"hotspot", net::TrafficPattern::Hotspot},
+    {"trace", net::TrafficPattern::Trace},
+};
+
+constexpr Name<router::DeadlockMode> kDeadlockModes[] = {
+    {"none", router::DeadlockMode::None},
+    {"bubble", router::DeadlockMode::Bubble},
+    {"dateline", router::DeadlockMode::Dateline},
+};
+
+constexpr Name<router::ArbiterKind> kArbiters[] = {
+    {"matrix", router::ArbiterKind::Matrix},
+    {"rr", router::ArbiterKind::RoundRobin},
+    {"queuing", router::ArbiterKind::Queuing},
+};
+
+constexpr Name<net::InjectionPolicy> kInjection[] = {
+    {"single", net::InjectionPolicy::SingleVc},
+    {"spread", net::InjectionPolicy::SpreadVcs},
+};
+
+constexpr Name<net::TieBreak> kTieBreaks[] = {
+    {"random", net::TieBreak::Random},
+    {"prefer-wrap", net::TieBreak::PreferWrap},
+};
 
 std::vector<unsigned>
 parseDims(const std::string& v)
@@ -64,65 +93,13 @@ parseDims(const std::string& v)
     std::istringstream in(v);
     while (std::getline(in, part, 'x')) {
         if (part.empty())
-            fail("--dims: malformed '" + v + "'");
-        dims.push_back(
-            static_cast<unsigned>(parseU64("--dims", part)));
+            reject("malformed '" + v + "'");
+        dims.push_back(static_cast<unsigned>(core::flags::toUnsigned(
+            part, std::numeric_limits<unsigned>::max())));
     }
     if (dims.empty())
-        fail("--dims: malformed '" + v + "'");
+        reject("malformed '" + v + "'");
     return dims;
-}
-
-NetworkConfig
-presetByName(const std::string& name)
-{
-    if (name == "wh64")
-        return NetworkConfig::wh64();
-    if (name == "vc16")
-        return NetworkConfig::vc16();
-    if (name == "vc64")
-        return NetworkConfig::vc64();
-    if (name == "vc128")
-        return NetworkConfig::vc128();
-    if (name == "xb")
-        return NetworkConfig::xb();
-    if (name == "cb")
-        return NetworkConfig::cb();
-    fail("--preset: unknown preset '" + name + "'");
-}
-
-net::TrafficPattern
-patternByName(const std::string& name)
-{
-    if (name == "uniform")
-        return net::TrafficPattern::UniformRandom;
-    if (name == "broadcast")
-        return net::TrafficPattern::Broadcast;
-    if (name == "transpose")
-        return net::TrafficPattern::Transpose;
-    if (name == "bitcomp")
-        return net::TrafficPattern::BitComplement;
-    if (name == "tornado")
-        return net::TrafficPattern::Tornado;
-    if (name == "neighbor")
-        return net::TrafficPattern::NearestNeighbor;
-    if (name == "hotspot")
-        return net::TrafficPattern::Hotspot;
-    if (name == "trace")
-        return net::TrafficPattern::Trace;
-    fail("--pattern: unknown pattern '" + name + "'");
-}
-
-router::DeadlockMode
-deadlockByName(const std::string& name)
-{
-    if (name == "none")
-        return router::DeadlockMode::None;
-    if (name == "bubble")
-        return router::DeadlockMode::Bubble;
-    if (name == "dateline")
-        return router::DeadlockMode::Dateline;
-    fail("--deadlock: unknown mode '" + name + "'");
 }
 
 net::OutageWindow
@@ -140,209 +117,313 @@ parseOutageSpec(const std::string& spec)
         const int n2 = std::sscanf(spec.c_str(), "%llu:%llu%c",
                                    &start, &end, &tail);
         if (n2 != 2)
-            fail("--link-outage: wants START:END[:LINK]: '" + spec +
-                 "'");
+            reject("wants START:END[:LINK]: '" + spec + "'");
     }
     if (end <= start)
-        fail("--link-outage: window end must be after start: '" +
-             spec + "'");
+        reject("window end must be after start: '" + spec + "'");
     if (link < -1)
-        fail("--link-outage: link must be >= 0 (or omitted): '" +
-             spec + "'");
+        reject("link must be >= 0 (or omitted): '" + spec + "'");
     w.start = start;
     w.end = end;
     w.link = static_cast<int>(link);
     return w;
 }
 
+/** A --log-level value: one of @p names, as log::parseLevel reads it. */
+std::string
+logLevel(const std::string& text, bool allow_off, const char* names)
+{
+    core::log::Level level = core::log::Level::Info;
+    if (!core::log::parseLevel(text, level) ||
+        (!allow_off && level == core::log::Level::Off))
+        reject(std::string("wants ") + names + ": '" + text + "'");
+    return text;
+}
+
+constexpr auto kNode =
+    u32(0, core::flags::kInf, std::numeric_limits<int>::max());
+constexpr auto kSec = core::flags::seconds(0.0, true);
+
+constexpr const char* kNetwork = "network (defaults to --preset vc16)";
+constexpr const char* kWorkload = "workload";
+constexpr const char* kMeasure = "measurement (paper defaults)";
+constexpr const char* kFaults = "fault injection (defaults: disabled)";
+constexpr const char* kRobust =
+    "robustness (defaults: disabled; docs/ROBUSTNESS.md)";
+constexpr const char* kRun = "execution and survivability";
+constexpr const char* kOutput = "output";
+constexpr const char* kObserve =
+    "telemetry and observability (docs/OBSERVABILITY.md)";
+
+// Setters are generic lambdas; each converts to the row's
+// void (*)(Options&, const Value&).
+constexpr core::flags::Row<Options> kSimRows[] = {
+    {"--preset", "wh64|vc16|vc64|vc128|xb|cb", "paper presets", kNetwork,
+     kResult, kText, [](auto& o, auto& v) {
+         o.network = byName(v.text, kPresets, "preset")();
+     }},
+    {"--dims", "KxK[xK]", "topology radices (default 4x4)", kNetwork,
+     kResult, kText,
+     [](auto& o, auto& v) { o.network.net.dims = parseDims(v.text); }},
+    {"--mesh", nullptr, "mesh instead of torus", kNetwork, kResult, kSwitch,
+     [](auto& o, auto&) {
+         o.network.net.wrap = false;
+         o.network.net.deadlock = router::DeadlockMode::None;
+     }},
+    {"--vcs", "N", "virtual channels per port", kNetwork, kResult, u32(),
+     [](auto& o, auto& v) { o.network.net.vcs = v.u32(); }},
+    {"--buffer", "N", "buffer depth per VC (flits)", kNetwork, kResult,
+     u32(), [](auto& o, auto& v) { o.network.net.bufferDepth = v.u32(); }},
+    {"--flit-bits", "N", "flit width", kNetwork, kResult, u32(),
+     [](auto& o, auto& v) { o.network.net.flitBits = v.u32(); }},
+    {"--packet-length", "N", "flits per packet", kNetwork, kResult, u32(),
+     [](auto& o, auto& v) { o.network.net.packetLength = v.u32(); }},
+    {"--deadlock", "none|bubble|dateline", "deadlock avoidance", kNetwork,
+     kResult, kText, [](auto& o, auto& v) {
+         o.network.net.deadlock = byName(v.text, kDeadlockModes, "mode");
+     }},
+    {"--speculative", nullptr, "2-stage speculative VC pipeline", kNetwork,
+     kResult, kSwitch,
+     [](auto& o, auto&) { o.network.net.speculative = true; }},
+    {"--arbiter", "matrix|rr|queuing", "arbiter kind", kNetwork, kResult,
+     kText, [](auto& o, auto& v) {
+         o.network.net.arbiterKind = byName(v.text, kArbiters, "kind");
+     }},
+    {"--injection", "single|spread", "source VC policy", kNetwork, kResult,
+     kText, [](auto& o, auto& v) {
+         o.network.net.injection = byName(v.text, kInjection, "policy");
+     }},
+    {"--tie-break", "random|prefer-wrap", "equidistant torus routes",
+     kNetwork, kResult, kText, [](auto& o, auto& v) {
+         o.network.net.tieBreak = byName(v.text, kTieBreaks, "policy");
+     }},
+
+    {"--pattern",
+     "uniform|broadcast|transpose|bitcomp|tornado|neighbor|hotspot|trace",
+     "destination pattern (default uniform)", kWorkload, kResult, kText,
+     [](auto& o, auto& v) {
+         o.traffic.pattern = byName(v.text, kPatterns, "pattern");
+     }},
+    {"--rate", "R", "packets/cycle/node (default 0.05)", kWorkload,
+     kResult, real(),
+     [](auto& o, auto& v) { o.traffic.injectionRate = v.d; }},
+    {"--broadcast-source", "N", "broadcast source node", kWorkload,
+     kResult, kNode, [](auto& o, auto& v) {
+         o.traffic.broadcastSource = static_cast<int>(v.u);
+     }},
+    {"--hotspot", "N", "hotspot node", kWorkload, kResult, kNode,
+     [](auto& o, auto& v) { o.traffic.hotspotNode = static_cast<int>(v.u); }},
+    {"--hotspot-frac", "F", "share of traffic sent to the hotspot",
+     kWorkload, kResult, real(),
+     [](auto& o, auto& v) { o.traffic.hotspotFraction = v.d; }},
+    {"--trace", "FILE", "trace file ('cycle src dst' lines)", kWorkload,
+     kResult, kText, [](auto& o, auto& v) {
+         o.traffic.trace =
+             std::make_shared<const std::vector<net::TraceRecord>>(
+                 net::Trace::load(v.text));
+     }},
+
+    {"--sample", "N", "sample packets (default 10000)", kMeasure, kResult,
+     u64(), [](auto& o, auto& v) { o.sim.samplePackets = v.u; }},
+    {"--warmup", "N", "warm-up cycles (default 1000)", kMeasure, kResult,
+     u64(), [](auto& o, auto& v) { o.sim.warmupCycles = v.u; }},
+    {"--max-cycles", "N", "cycle cap (default 1000000)", kMeasure, kResult,
+     u64(), [](auto& o, auto& v) { o.sim.maxCycles = v.u; }},
+    {"--seed", "N", "RNG seed (default 1)", kMeasure, kResult, u64(),
+     [](auto& o, auto& v) { o.sim.seed = v.u; }},
+
+    {"--link-ber", "F", "per-bit link error rate", kFaults, kResult,
+     real(0.0, 1.0),
+     [](auto& o, auto& v) { o.sim.fault.linkBitErrorRate = v.d; }},
+    {"--link-outage", "START:END[:LINK]",
+     "drop all flits on LINK (a random link\nif omitted) in [START, END)",
+     kFaults, kResult, kText, [](auto& o, auto& v) {
+         o.sim.fault.outages.push_back(parseOutageSpec(v.text));
+     }},
+    {"--fault-seed", "N", "fault schedule seed (default: from --seed)",
+     kFaults, kResult, u64(),
+     [](auto& o, auto& v) { o.sim.fault.faultSeed = v.u; }},
+    {"--retry-limit", "N", "retransmissions per packet (default 8)",
+     kFaults, kResult, u32(0, 32),
+     [](auto& o, auto& v) { o.sim.fault.retryLimit = v.u32(); }},
+    {"--retry-backoff", "N", "base retry backoff cycles (default 8)",
+     kFaults, kResult, u64(1),
+     [](auto& o, auto& v) { o.sim.fault.retryBackoffCycles = v.u; }},
+
+    {"--reroute", nullptr, "reroute around dead links; fail fast as\n"
+     "'unreachable' when a destination is cut off",
+     kRobust, kResult, kSwitch,
+     [](auto& o, auto&) { o.sim.rerouteOnOutage = true; }},
+    {"--deadlock-detect", "N", "detect wait-for cycles after N frozen\n"
+     "cycles; recover by worm poisoning", kRobust, kResult, u64(1),
+     [](auto& o, auto& v) {
+         o.sim.deadlockDetect.enabled = true;
+         o.sim.deadlockDetect.thresholdCycles = v.u;
+         o.sim.deadlockDetect.probeCycles = std::max<sim::Cycle>(
+             1, std::min<sim::Cycle>(128, v.u / 4));
+     }},
+    {"--debug-poison-rate", "F", "drill: poison worms at this rate",
+     kRobust, kResult, real(),
+     [](auto& o, auto& v) { o.sim.debugPoisonRate = v.d; }},
+    {"--debug-segv-rate", "F", "drill: crash the run at this rate",
+     kRobust, kResult, real(),
+     [](auto& o, auto& v) { o.sim.debugSegvRate = v.d; }},
+
+    {"--jobs", "N", "sweep worker threads (default: all cores;\n"
+     "results are identical for any N)", kRun, kControl, u32(1),
+     [](auto& o, auto& v) { o.jobs = v.u32(); }},
+    {"--point-timeout", "SEC", "wall-clock deadline per run or sweep\n"
+     "point; overruns stop as 'deadline'", kRun, kLocal, kSec,
+     [](auto& o, auto& v) { o.pointTimeoutSeconds = v.d; }},
+    {"--point-retries", "N", "attempts per sweep cell (default 2)", kRun,
+     kControl, u32(1, 32), [](auto& o, auto& v) { o.pointRetries = v.u32(); }},
+    {"--point-backoff-ms", "N", "sleep before each retry (default 0)",
+     kRun, kControl, u32(),
+     [](auto& o, auto& v) { o.pointBackoffMs = v.u32(); }},
+
+    {"--csv", nullptr, "machine-readable one-row CSV", kOutput, kControl,
+     kSwitch, [](auto& o, auto&) { o.csv = true; }},
+    {"--breakdown", nullptr, "per-node power map + event counts", kOutput,
+     kControl, kSwitch, [](auto& o, auto&) { o.breakdown = true; }},
+    {"--report-out", "FILE", "the report as a checkpoint entry line\n"
+     "(exact hexfloat doubles)", kOutput, kLocal, kText,
+     [](auto& o, auto& v) { o.reportOut = v.text; }},
+
+    {"--metrics-out", "FILE", "windowed metric time series (CSV)",
+     kObserve, kLocal, kText, [](auto& o, auto& v) { o.metricsOut = v.text; }},
+    {"--sample-interval", "N", "cycles per sampling window (default\n"
+     "1000 with --metrics-out)", kObserve, kControl, u64(1),
+     [](auto& o, auto& v) { o.sim.telemetry.sampleInterval = v.u; }},
+    {"--trace-out", "FILE", "Chrome trace-event JSON (Perfetto)",
+     kObserve, kLocal, kText, [](auto& o, auto& v) { o.traceOut = v.text; }},
+    {"--trace-capacity", "N", "trace ring-buffer records (default 65536)",
+     kObserve, kControl, u64(1), [](auto& o, auto& v) {
+         o.sim.telemetry.traceCapacity = static_cast<std::size_t>(v.u);
+     }},
+    {"--log-out", "FILE", "structured JSON-lines log (or ORION_LOG)",
+     kObserve, kLocal, kText, [](auto& o, auto& v) { o.logOut = v.text; }},
+    {"--log-level", "L", "debug|info|warn|error (default info)", kObserve,
+     kLocal, kText, [](auto& o, auto& v) {
+         o.logLevel = logLevel(v.text, false, "debug|info|warn|error");
+     }},
+    {"--manifest-out", "FILE", "run manifest JSON (fingerprint, build,\n"
+     "rusage, stop reason)", kObserve, kLocal, kText,
+     [](auto& o, auto& v) { o.manifestOut = v.text; }},
+    {"--profile-phases", nullptr, "time each simulator stage (manifest)",
+     kObserve, kLocal, kSwitch,
+     [](auto& o, auto&) { o.sim.profilePhases = true; }},
+};
+
+constexpr const char* kSweep = "sweep";
+
+constexpr core::flags::Row<SweepArgs> kSweepRows[] = {
+    {"--rates", "FIRST:LAST:COUNT", "evenly spaced rates (default "
+     "0.01:0.20:10)", kSweep, kResult, kText,
+     [](auto& s, auto& v) { s.rates = parseRateSpec(v.text); }},
+    {"--seeds", "N", "average each point over N seeds", kSweep, kResult,
+     u32(1), [](auto& s, auto& v) { s.seeds = v.u32(); }},
+    {"--metrics-dir", "DIR", "per-point metric CSVs (DIR/point_NNN.csv,\n"
+     "DIR/seed_K/... with --seeds N>1)", kSweep, kLocal, kText,
+     [](auto& s, auto& v) { s.metricsDir = v.text; }},
+    {"--trace-dir", "DIR", "per-point Chrome traces, laid out the\n"
+     "same way", kSweep, kLocal, kText,
+     [](auto& s, auto& v) { s.traceDir = v.text; }},
+    {"--checkpoint", "FILE", "journal finished cells (crash-safe)", kSweep,
+     kControl, kText, [](auto& s, auto& v) { s.checkpointPath = v.text; }},
+    {"--resume", "FILE", "skip the cells FILE journals, append new\n"
+     "ones; the CSV is byte-identical to an\nuninterrupted run's",
+     kSweep, kControl, kText,
+     [](auto& s, auto& v) { s.resumePath = v.text; }},
+    {"--isolate", nullptr, "one orion_sim subprocess per point; a\n"
+     "crash becomes a failed row", kSweep, kControl, kSwitch,
+     [](auto& s, auto&) { s.isolate = true; }},
+    {"--isolate-exe", "PATH", "worker binary (default: beside this one)",
+     kSweep, kControl, kText, [](auto& s, auto& v) { s.isolateExe = v.text; }},
+    {"--isolate-mem", "MB", "worker RLIMIT_AS cap (MiB)", kSweep, kControl,
+     u64(), [](auto& s, auto& v) { s.isolateMemMb = v.u; }},
+    {"--isolate-cpu", "SEC", "worker RLIMIT_CPU cap (seconds)", kSweep,
+     kControl, u64(), [](auto& s, auto& v) { s.isolateCpuSeconds = v.u; }},
+    {"--heartbeat", "FILE", "progress JSON, rewritten atomically\n"
+     "(tools/orion_status.py reads it)", kSweep, kLocal, kText,
+     [](auto& s, auto& v) { s.heartbeatPath = v.text; }},
+    {"--heartbeat-interval", "SEC", "heartbeat period (default 1)", kSweep,
+     kLocal, kSec,
+     [](auto& s, auto& v) { s.heartbeatIntervalSeconds = v.d; }},
+    {"--progress", nullptr, "stderr progress line (TTY only)", kSweep,
+     kLocal, kSwitch, [](auto& s, auto&) { s.progressLine = true; }},
+    {"--resources", nullptr, "append wall_s/cpu_s/maxrss_kb columns\n"
+     "(nondeterministic values)", kSweep, kControl, kSwitch,
+     [](auto& s, auto&) { s.resources = true; }},
+};
+
+constexpr const char* kDaemon = "options";
+
+constexpr core::flags::Row<DaemonArgs> kDaemonRows[] = {
+    {"--socket", "PATH", "Unix-domain socket to listen on", kDaemon,
+     kControl, kText, [](auto& d, auto& v) { d.socketPath = v.text; }},
+    {"--cache-dir", "DIR", "persistent result cache directory", kDaemon,
+     kControl, kText, [](auto& d, auto& v) { d.cacheDir = v.text; }},
+    {"--cache-max-entries", "N", "LRU eviction bound (default 4096)",
+     kDaemon, kControl, u64(),
+     [](auto& d, auto& v) { d.cacheMaxEntries = v.u; }},
+    {"--cache-segment-entries", "N", "segment rotation size (default 256)",
+     kDaemon, kControl, u64(1),
+     [](auto& d, auto& v) { d.cacheSegmentEntries = v.u; }},
+    {"--workers", "N", "worker threads (default 1)", kDaemon, kControl,
+     u32(1), [](auto& d, auto& v) { d.workers = v.u32(); }},
+    {"--queue-max", "N", "admission high-water mark (default 16)", kDaemon,
+     kControl, u64(), [](auto& d, auto& v) { d.queueMax = v.u; }},
+    {"--timeout", "SEC", "default per-job deadline (default none)",
+     kDaemon, kControl, core::flags::seconds(0.0, false),
+     [](auto& d, auto& v) { d.defaultTimeoutSeconds = v.d; }},
+    {"--retries", "N", "per-point attempts (default 2)", kDaemon, kControl,
+     u32(1, 32), [](auto& d, auto& v) { d.retries = v.u32(); }},
+    {"--backoff-ms", "N", "sleep between attempts (default 0)", kDaemon,
+     kControl, u32(), [](auto& d, auto& v) { d.backoffMs = v.u32(); }},
+    {"--isolate", "EXE", "run each point in a forked orion_sim", kDaemon,
+     kControl, kText, [](auto& d, auto& v) { d.isolateExe = v.text; }},
+    {"--manifest-out", "FILE", "shutdown manifest (default\n"
+     "<socket>.manifest.json)", kDaemon, kLocal, kText,
+     [](auto& d, auto& v) { d.manifestOut = v.text; }},
+    {"--log-out", "FILE", "structured JSON-lines log", kDaemon, kLocal,
+     kText, [](auto& d, auto& v) { d.logOut = v.text; }},
+    {"--log-level", "L", "debug|info|warn|error|off (default info)",
+     kDaemon, kLocal, kText, [](auto& d, auto& v) {
+         d.logLevel = logLevel(v.text, true, "debug|info|warn|error|off");
+     }},
+};
+
+constexpr const char* kSubmit = "options (before --)";
+
+constexpr core::flags::Row<SubmitArgs> kSubmitRows[] = {
+    {"--socket", "PATH", "the daemon's socket", kSubmit, kControl, kText,
+     [](auto& s, auto& v) { s.socketPath = v.text; }},
+    {"--rates", "F:L:N", "submit: sweep this rate grid", kSubmit, kResult,
+     kText, [](auto& s, auto& v) { s.rates = v.text; }},
+    {"--timeout", "SEC", "submit: per-job deadline", kSubmit, kControl,
+     core::flags::seconds(0.0, false),
+     [](auto& s, auto& v) { s.timeoutSeconds = v.d; }},
+    {"--wait", nullptr, "submit: wait for the job, write its result",
+     kSubmit, kControl, kSwitch, [](auto& s, auto&) { s.wait = true; }},
+    {"--poll-ms", "N", "submit --wait: poll period (default 200)", kSubmit,
+     kControl, u32(1), [](auto& s, auto& v) { s.pollMs = v.u32(); }},
+    {"--out", "FILE", "submit --wait, result: result file\n"
+     "(default stdout)", kSubmit, kLocal, kText,
+     [](auto& s, auto& v) { s.outPath = v.text; }},
+};
+
 } // namespace
 
+const core::flags::Table<Options> kSimFlags = kSimRows;
+
 Options
-parse(const std::vector<std::string>& args)
+parse(const std::vector<std::string>& args, std::string_view tool)
 {
     Options o;
     o.traffic.injectionRate = 0.05;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        const auto value = [&]() -> const std::string& {
-            if (i + 1 >= args.size())
-                fail(a + ": missing value");
-            return args[++i];
-        };
-
-        if (a == "--help" || a == "-h") {
-            o.helpRequested = true;
-            return o;
-        } else if (a == "--preset") {
-            o.network = presetByName(value());
-        } else if (a == "--dims") {
-            o.network.net.dims = parseDims(value());
-        } else if (a == "--mesh") {
-            o.network.net.wrap = false;
-            o.network.net.deadlock = router::DeadlockMode::None;
-        } else if (a == "--vcs") {
-            o.network.net.vcs =
-                static_cast<unsigned>(parseU64(a, value()));
-        } else if (a == "--buffer") {
-            o.network.net.bufferDepth =
-                static_cast<unsigned>(parseU64(a, value()));
-        } else if (a == "--flit-bits") {
-            o.network.net.flitBits =
-                static_cast<unsigned>(parseU64(a, value()));
-        } else if (a == "--packet-length") {
-            o.network.net.packetLength =
-                static_cast<unsigned>(parseU64(a, value()));
-        } else if (a == "--deadlock") {
-            o.network.net.deadlock = deadlockByName(value());
-        } else if (a == "--speculative") {
-            o.network.net.speculative = true;
-        } else if (a == "--arbiter") {
-            const std::string& v = value();
-            if (v == "matrix")
-                o.network.net.arbiterKind = router::ArbiterKind::Matrix;
-            else if (v == "rr")
-                o.network.net.arbiterKind =
-                    router::ArbiterKind::RoundRobin;
-            else if (v == "queuing")
-                o.network.net.arbiterKind =
-                    router::ArbiterKind::Queuing;
-            else
-                fail("--arbiter: unknown kind '" + v + "'");
-        } else if (a == "--injection") {
-            const std::string& v = value();
-            if (v == "single")
-                o.network.net.injection =
-                    net::InjectionPolicy::SingleVc;
-            else if (v == "spread")
-                o.network.net.injection =
-                    net::InjectionPolicy::SpreadVcs;
-            else
-                fail("--injection: unknown policy '" + v + "'");
-        } else if (a == "--tie-break") {
-            const std::string& v = value();
-            if (v == "random")
-                o.network.net.tieBreak = net::TieBreak::Random;
-            else if (v == "prefer-wrap")
-                o.network.net.tieBreak = net::TieBreak::PreferWrap;
-            else
-                fail("--tie-break: unknown policy '" + v + "'");
-        } else if (a == "--pattern") {
-            o.traffic.pattern = patternByName(value());
-        } else if (a == "--rate") {
-            o.traffic.injectionRate = parseDouble(a, value());
-        } else if (a == "--broadcast-source") {
-            o.traffic.broadcastSource =
-                static_cast<int>(parseU64(a, value()));
-        } else if (a == "--hotspot") {
-            o.traffic.hotspotNode =
-                static_cast<int>(parseU64(a, value()));
-        } else if (a == "--hotspot-frac") {
-            o.traffic.hotspotFraction = parseDouble(a, value());
-        } else if (a == "--trace") {
-            o.traffic.trace = std::make_shared<
-                const std::vector<net::TraceRecord>>(
-                net::Trace::load(value()));
-        } else if (a == "--sample") {
-            o.sim.samplePackets = parseU64(a, value());
-        } else if (a == "--warmup") {
-            o.sim.warmupCycles = parseU64(a, value());
-        } else if (a == "--max-cycles") {
-            o.sim.maxCycles = parseU64(a, value());
-        } else if (a == "--seed") {
-            o.sim.seed = parseU64(a, value());
-        } else if (a == "--link-ber") {
-            const double ber = parseDouble(a, value());
-            if (ber < 0.0 || ber > 1.0)
-                fail("--link-ber: must be in [0, 1]");
-            o.sim.fault.linkBitErrorRate = ber;
-        } else if (a == "--link-outage") {
-            o.sim.fault.outages.push_back(parseOutageSpec(value()));
-        } else if (a == "--fault-seed") {
-            o.sim.fault.faultSeed = parseU64(a, value());
-        } else if (a == "--retry-limit") {
-            const unsigned long long n = parseU64(a, value());
-            if (n > 32)
-                fail("--retry-limit: must be <= 32");
-            o.sim.fault.retryLimit = static_cast<unsigned>(n);
-        } else if (a == "--retry-backoff") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--retry-backoff: must be >= 1");
-            o.sim.fault.retryBackoffCycles =
-                static_cast<sim::Cycle>(n);
-        } else if (a == "--reroute") {
-            o.sim.rerouteOnOutage = true;
-        } else if (a == "--deadlock-detect") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--deadlock-detect: must be >= 1");
-            o.sim.deadlockDetect.enabled = true;
-            o.sim.deadlockDetect.thresholdCycles =
-                static_cast<sim::Cycle>(n);
-            o.sim.deadlockDetect.probeCycles = std::max<sim::Cycle>(
-                1, std::min<sim::Cycle>(128, n / 4));
-        } else if (a == "--debug-poison-rate") {
-            o.sim.debugPoisonRate = parseDouble(a, value());
-        } else if (a == "--debug-segv-rate") {
-            o.sim.debugSegvRate = parseDouble(a, value());
-        } else if (a == "--point-timeout") {
-            const double sec = parseDouble(a, value());
-            if (sec <= 0.0)
-                fail("--point-timeout: must be > 0 seconds");
-            o.pointTimeoutSeconds = sec;
-        } else if (a == "--point-retries") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1 || n > 32)
-                fail("--point-retries: must be in [1, 32]");
-            o.pointRetries = static_cast<unsigned>(n);
-        } else if (a == "--point-backoff-ms") {
-            o.pointBackoffMs =
-                static_cast<unsigned>(parseU64(a, value()));
-        } else if (a == "--report-out") {
-            o.reportOut = value();
-        } else if (a == "--log-out") {
-            o.logOut = value();
-        } else if (a == "--log-level") {
-            const std::string& v = value();
-            if (v != "debug" && v != "info" && v != "warn" &&
-                v != "error") {
-                fail("--log-level: wants debug|info|warn|error: '" +
-                     v + "'");
-            }
-            o.logLevel = v;
-        } else if (a == "--manifest-out") {
-            o.manifestOut = value();
-        } else if (a == "--profile-phases") {
-            o.sim.profilePhases = true;
-        } else if (a == "--jobs") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--jobs: must be >= 1");
-            o.jobs = static_cast<unsigned>(n);
-        } else if (a == "--csv") {
-            o.csv = true;
-        } else if (a == "--breakdown") {
-            o.breakdown = true;
-        } else if (a == "--metrics-out") {
-            o.metricsOut = value();
-        } else if (a == "--trace-out") {
-            o.traceOut = value();
-        } else if (a == "--sample-interval") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--sample-interval: must be >= 1");
-            o.sim.telemetry.sampleInterval =
-                static_cast<sim::Cycle>(n);
-        } else if (a == "--trace-capacity") {
-            const unsigned long long n = parseU64(a, value());
-            if (n < 1)
-                fail("--trace-capacity: must be >= 1");
-            o.sim.telemetry.traceCapacity =
-                static_cast<std::size_t>(n);
-        } else {
-            fail("unknown option '" + a + "'");
-        }
+    if (core::flags::parse(tool, kSimFlags, args, o)) {
+        o.helpRequested = true;
+        return o;
     }
 
     // --metrics-out without an explicit interval samples every 1000
@@ -357,9 +438,73 @@ parse(const std::vector<std::string>& args)
     try {
         validateConfig(o.network, o.traffic, o.sim);
     } catch (const std::invalid_argument& e) {
-        fail(e.what());
+        core::flags::fail(tool, e.what());
     }
     return o;
+}
+
+std::string
+usage()
+{
+    return "usage: orion_sim [options]\n" + core::flags::help(kSimFlags);
+}
+
+const core::flags::Table<SweepArgs> kSweepFlags = kSweepRows;
+
+SweepArgs
+parseSweep(const std::vector<std::string>& args)
+{
+    constexpr std::string_view kTool = "orion_sweep";
+    SweepArgs s;
+    s.rates = Sweep::linspace(0.01, 0.20, 10);
+    if (core::flags::parse(kTool, kSweepFlags, args, s, &s.simArgs))
+        s.sim.helpRequested = true;
+    else
+        s.sim = parse(s.simArgs, kTool);
+    return s;
+}
+
+const core::flags::Table<DaemonArgs> kDaemonFlags = kDaemonRows;
+
+DaemonArgs
+parseDaemon(const std::vector<std::string>& args)
+{
+    constexpr std::string_view kTool = "orion_served";
+    DaemonArgs d;
+    d.helpRequested = core::flags::parse(kTool, kDaemonFlags, args, d);
+    if (d.helpRequested)
+        return d;
+    if (d.socketPath.empty())
+        core::flags::fail(kTool, "--socket is required");
+    if (d.manifestOut.empty())
+        d.manifestOut = d.socketPath + ".manifest.json";
+    return d;
+}
+
+const core::flags::Table<SubmitArgs> kSubmitFlags = kSubmitRows;
+
+SubmitArgs
+parseSubmit(const std::vector<std::string>& args)
+{
+    constexpr std::string_view kTool = "orion_submit";
+    SubmitArgs s;
+    const auto dashes = std::find(args.begin(), args.end(), "--");
+    s.helpRequested = core::flags::parse(
+        kTool, kSubmitFlags, {args.begin(), dashes}, s, &s.words);
+    if (s.helpRequested)
+        return s;
+    if (dashes != args.end())
+        s.simArgs.assign(dashes + 1, args.end());
+    if (s.socketPath.empty())
+        core::flags::fail(kTool, "--socket PATH is required");
+    if (s.words.empty())
+        core::flags::fail(kTool, "missing verb");
+    if (s.words.front() != "submit" &&
+        (!s.rates.empty() || s.timeoutSeconds >= 0.0 || s.wait ||
+         dashes != args.end()))
+        core::flags::fail(kTool, "--rates, --timeout, --wait and -- "
+                                 "apply to submit only");
+    return s;
 }
 
 std::vector<double>
@@ -372,106 +517,11 @@ parseRateSpec(const std::string& spec)
     if (std::sscanf(spec.c_str(), "%lf:%lf:%u%c", &first, &last,
                     &count, &tail) != 3 ||
         first <= 0.0 || last < first || count < 2) {
-        throw std::invalid_argument(
-            "rate spec wants FIRST:LAST:COUNT with 0 < FIRST <= LAST "
-            "and COUNT >= 2: '" +
-            spec + "'");
+        reject("rate spec wants FIRST:LAST:COUNT with 0 < FIRST <= LAST "
+               "and COUNT >= 2: '" +
+               spec + "'");
     }
     return Sweep::linspace(first, last, count);
-}
-
-std::string
-usage()
-{
-    return "usage: orion_sim [options]\n"
-           "\n"
-           "network (defaults to --preset vc16):\n"
-           "  --preset wh64|vc16|vc64|vc128|xb|cb   paper presets\n"
-           "  --dims KxK[xK]       topology radices (default 4x4)\n"
-           "  --mesh               mesh instead of torus\n"
-           "  --vcs N              virtual channels per port\n"
-           "  --buffer N           buffer depth per VC (flits)\n"
-           "  --flit-bits N        flit width\n"
-           "  --packet-length N    flits per packet\n"
-           "  --deadlock none|bubble|dateline\n"
-           "  --speculative        2-stage speculative VC pipeline\n"
-           "  --arbiter matrix|rr|queuing\n"
-           "  --injection single|spread   source VC policy\n"
-           "  --tie-break random|prefer-wrap\n"
-           "\n"
-           "workload:\n"
-           "  --pattern uniform|broadcast|transpose|bitcomp|tornado|"
-           "neighbor|hotspot|trace\n"
-           "  --rate R             packets/cycle/node (default 0.05)\n"
-           "  --broadcast-source N --hotspot N --hotspot-frac F\n"
-           "  --trace FILE         trace file ('cycle src dst' lines)\n"
-           "\n"
-           "measurement (paper defaults):\n"
-           "  --sample N           sample packets (default 10000)\n"
-           "  --warmup N           warm-up cycles (default 1000)\n"
-           "  --max-cycles N       cycle cap (default 1000000)\n"
-           "  --seed N             RNG seed (default 1)\n"
-           "\n"
-           "fault injection (defaults: disabled):\n"
-           "  --link-ber F         per-bit link error rate in [0,1]\n"
-           "  --link-outage START:END[:LINK]\n"
-           "                       drop all flits on LINK (random link\n"
-           "                       if omitted) during [START, END)\n"
-           "  --fault-seed N       fault schedule seed (default:\n"
-           "                       derived from --seed)\n"
-           "  --retry-limit N      retransmissions per packet "
-           "(default 8)\n"
-           "  --retry-backoff N    base retry backoff cycles "
-           "(default 8)\n"
-           "\n"
-           "robustness (defaults: disabled; docs/ROBUSTNESS.md):\n"
-           "  --reroute            reroute sources around dead links\n"
-           "                       (fail fast as 'unreachable' when a\n"
-           "                       destination is partitioned)\n"
-           "  --deadlock-detect N  detect wait-for cycles after N\n"
-           "                       frozen cycles and recover by worm\n"
-           "                       poisoning + retransmission\n"
-           "\n"
-           "execution:\n"
-           "  --jobs N             sweep worker threads (default: "
-           "hardware\n"
-           "                       concurrency; results identical for "
-           "any N)\n"
-           "\n"
-           "survivability (defaults: disabled; docs/ROBUSTNESS.md):\n"
-           "  --point-timeout SEC  wall-clock deadline per run / sweep\n"
-           "                       point; overruns stop cooperatively\n"
-           "                       as status 'deadline'\n"
-           "  --point-retries N    attempts per sweep cell before it\n"
-           "                       fails for good (default 2)\n"
-           "  --point-backoff-ms N sleep before each retry (default 0)\n"
-           "\n"
-           "output:\n"
-           "  --csv                machine-readable one-row CSV\n"
-           "  --breakdown          per-node power map + event counts\n"
-           "  --report-out FILE    machine-mergeable report line (exact\n"
-           "                       hexfloat doubles; the checkpoint\n"
-           "                       entry format)\n"
-           "\n"
-           "telemetry (defaults: disabled; see docs/OBSERVABILITY.md):\n"
-           "  --metrics-out FILE   windowed metric time series (CSV)\n"
-           "  --sample-interval N  cycles per sampling window (default\n"
-           "                       1000 when --metrics-out is set)\n"
-           "  --trace-out FILE     Chrome trace-event JSON (load in\n"
-           "                       Perfetto / chrome://tracing)\n"
-           "  --trace-capacity N   trace ring-buffer records "
-           "(default 65536)\n"
-           "\n"
-           "observability (defaults: disabled; docs/OBSERVABILITY.md):\n"
-           "  --log-out FILE       structured JSON-lines log (also via\n"
-           "                       the ORION_LOG environment variable)\n"
-           "  --log-level L        debug|info|warn|error (default "
-           "info)\n"
-           "  --manifest-out FILE  run manifest JSON (config\n"
-           "                       fingerprint, build info, rusage,\n"
-           "                       stop reason)\n"
-           "  --profile-phases     attribute kernel time to simulator\n"
-           "                       stages (reported in the manifest)\n";
 }
 
 std::string

@@ -1,35 +1,22 @@
 /**
  * @file
- * Command-line front end: turns argv-style options into a validated
- * (NetworkConfig, TrafficConfig, SimConfig) triple and renders run
- * reports. Lives in the library (rather than the tool's main) so the
- * parsing logic is unit-testable.
- *
- * Supported options (see usage() for the full text):
- *   --preset wh64|vc16|vc64|vc128|xb|cb
- *   --dims KxK[xK]          --mesh
- *   --vcs N --buffer N --flit-bits N --packet-length N
- *   --deadlock none|bubble|dateline
- *   --pattern uniform|broadcast|transpose|bitcomp|tornado|neighbor|
- *             hotspot|trace
- *   --rate R --broadcast-source N --hotspot N --hotspot-frac F
- *   --trace FILE
- *   --sample N --warmup N --max-cycles N --seed N
- *   --link-ber F --link-outage START:END[:LINK] --fault-seed N
- *   --retry-limit N --retry-backoff N
- *   --jobs N
- *   --csv
- *   --metrics-out FILE --sample-interval N
- *   --trace-out FILE --trace-capacity N
+ * Command-line front end: the option tables of orion_sim, orion_sweep,
+ * orion_served and orion_submit (core/flags.hh parses and renders
+ * them), the validated (NetworkConfig, TrafficConfig, SimConfig)
+ * triple they resolve to, and the run report renderers. Lives in the
+ * library (rather than the tools' mains) so the parsing logic is
+ * unit-testable. `--help` of each tool is the option reference.
  */
 
 #ifndef ORION_CORE_CLI_HH
 #define ORION_CORE_CLI_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "core/config.hh"
+#include "core/flags.hh"
 #include "core/simulation.hh"
 
 namespace orion::cli {
@@ -89,14 +76,94 @@ struct Options
     bool helpRequested = false;
 };
 
+/** orion_sim's option table. */
+extern const core::flags::Table<Options> kSimFlags;
+
 /**
  * Parse @p args (without argv[0]). Throws std::invalid_argument with
- * a user-facing message on unknown options or malformed values.
+ * a user-facing message, prefixed with @p tool, on unknown options or
+ * malformed values.
  */
-Options parse(const std::vector<std::string>& args);
+Options parse(const std::vector<std::string>& args,
+              std::string_view tool = "orion_sim");
 
 /** The usage/help text. */
 std::string usage();
+
+/** orion_sweep's command line: its own flags plus orion_sim's. */
+struct SweepArgs
+{
+    std::vector<double> rates;
+    unsigned seeds = 1;
+    std::string metricsDir;
+    std::string traceDir;
+    std::string checkpointPath;
+    std::string resumePath;
+    bool isolate = false;
+    std::string isolateExe;
+    std::uint64_t isolateMemMb = 0;
+    std::uint64_t isolateCpuSeconds = 0;
+    std::string heartbeatPath;
+    double heartbeatIntervalSeconds = 1.0;
+    bool progressLine = false;
+    bool resources = false;
+    /** The orion_sim flags among the arguments, in order: parsed into
+     * sim, and forwarded to --isolate workers. */
+    std::vector<std::string> simArgs;
+    Options sim;
+};
+
+/** orion_sweep's own option table. */
+extern const core::flags::Table<SweepArgs> kSweepFlags;
+
+/** Parse an orion_sweep command line; --help sets
+ * sim.helpRequested. */
+SweepArgs parseSweep(const std::vector<std::string>& args);
+
+
+/** orion_served's command line. */
+struct DaemonArgs
+{
+    std::string socketPath;
+    std::string cacheDir;
+    std::uint64_t cacheMaxEntries = 4096;
+    std::uint64_t cacheSegmentEntries = 256;
+    unsigned workers = 1;
+    std::uint64_t queueMax = 16;
+    double defaultTimeoutSeconds = 0.0;
+    unsigned retries = 2;
+    unsigned backoffMs = 0;
+    /** The orion_sim binary for --isolate; empty runs in process. */
+    std::string isolateExe;
+    /** Default: <socket>.manifest.json. */
+    std::string manifestOut;
+    std::string logOut;
+    std::string logLevel;
+    bool helpRequested = false;
+};
+
+extern const core::flags::Table<DaemonArgs> kDaemonFlags;
+DaemonArgs parseDaemon(const std::vector<std::string>& args);
+
+/** orion_submit's command line. */
+struct SubmitArgs
+{
+    std::string socketPath;
+    /** The verb and, for status/result/cancel, the job id. */
+    std::vector<std::string> words;
+    std::string rates;
+    /** Per-job deadline in seconds; < 0 = the daemon's default. */
+    double timeoutSeconds = -1.0;
+    bool wait = false;
+    std::string outPath;
+    unsigned pollMs = 200;
+    /** Everything after `--`: orion_sim flags, sent verbatim. */
+    std::vector<std::string> simArgs;
+    bool helpRequested = false;
+};
+
+extern const core::flags::Table<SubmitArgs> kSubmitFlags;
+SubmitArgs parseSubmit(const std::vector<std::string>& args);
 
 /** Render @p report as the human-readable run summary. */
 std::string formatReport(const Options& opts, const Report& report);
@@ -106,8 +173,8 @@ std::string formatCsvReport(const Options& opts, const Report& report);
 
 /**
  * Parse a "FIRST:LAST:COUNT" rate-sweep specification into evenly
- * spaced rates. Throws std::invalid_argument on malformed or
- * non-increasing specs.
+ * spaced rates. Throws core::flags::Rejected (a std::invalid_argument)
+ * on malformed or non-increasing specs.
  */
 std::vector<double> parseRateSpec(const std::string& spec);
 

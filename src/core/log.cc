@@ -174,6 +174,17 @@ Logger::configureFromEnv()
 }
 
 void
+configureCli(const std::string& path, const std::string& level)
+{
+    configureFromEnv();
+    if (path.empty())
+        return;
+    Level l = Level::Info;
+    parseLevel(level, l);
+    configure(path, l);
+}
+
+void
 Logger::event(Level level, const char* name,
               std::initializer_list<Field> fields)
 {

@@ -152,6 +152,11 @@ configureFromEnv()
     Logger::instance().configureFromEnv();
 }
 
+/** Attach the sink as every CLI does: ORION_LOG / ORION_LOG_LEVEL
+ * first, then `--log-out @p path --log-level @p level` (unparseable or
+ * empty level -> info), which win when @p path is set. */
+void configureCli(const std::string& path, const std::string& level);
+
 inline bool
 enabled(Level level)
 {

@@ -1,120 +1,150 @@
 #include "core/model_cli.hh"
 
-#include <functional>
-#include <map>
 #include <stdexcept>
 
 #include "core/report.hh"
-#include "power/arbiter_model.hh"
 #include "power/buffer_model.hh"
 #include "power/central_buffer_model.hh"
 #include "power/crossbar_model.hh"
 #include "power/link_model.hh"
-#include "tech/tech_node.hh"
 
 namespace orion::cli {
 
 namespace {
 
+using core::flags::kSwitch;
+using core::flags::kText;
+using core::flags::real;
+using core::flags::u32;
 using orion::report::fmt;
 using orion::report::fmtEng;
 
-[[noreturn]] void
-fail(const std::string& what)
+constexpr std::string_view kTool = "orion_models";
+
+/** @p value, which the component cannot do without. */
+template <class V>
+V
+need(const std::optional<V>& value, const char* flag)
 {
-    throw std::invalid_argument("orion_models: " + what +
-                                " (--help for usage)");
+    if (!value)
+        core::flags::fail(kTool, std::string(flag) + " is required");
+    return *value;
 }
 
-/** Parsed option map: every option takes one value except flags. */
-struct Query
-{
-    std::string component;
-    std::map<std::string, std::string> values;
-    bool muxTree = false;
-    bool csv = false;
+using ModelRow = core::flags::Row<ModelQuery>;
+constexpr auto kResult = core::flags::Class::Result;
+constexpr auto kControl = core::flags::Class::Control;
 
-    double
-    number(const std::string& key, double fallback) const
-    {
-        const auto it = values.find(key);
-        if (it == values.end())
-            return fallback;
-        try {
-            std::size_t used = 0;
-            const double v = std::stod(it->second, &used);
-            if (used != it->second.size())
-                fail(key + ": not a number: '" + it->second + "'");
-            return v;
-        } catch (const std::invalid_argument&) {
-            fail(key + ": not a number: '" + it->second + "'");
-        } catch (const std::out_of_range&) {
-            fail(key + ": out of range: '" + it->second + "'");
-        }
-    }
+// Component headings come from modelUsage(), so the rows carry none.
+constexpr const char* kNoGroup = "";
 
-    unsigned
-    count(const std::string& key, double fallback = -1.0) const
-    {
-        const double v = number(key, fallback);
-        if (v < 0.0)
-            fail(key + " is required");
-        if (v != static_cast<unsigned>(v))
-            fail(key + " must be a whole number");
-        return static_cast<unsigned>(v);
-    }
+constexpr core::flags::Type kPositive =
+    real(0.0, std::numeric_limits<double>::infinity(), true);
 
-    bool has(const std::string& key) const
-    {
-        return values.count(key) > 0;
-    }
+constexpr ModelRow kFlits{
+    "--flits", "B", "buffer depth (flits)", kNoGroup, kResult, u32(),
+    [](auto& q, auto& v) { q.flits = v.u32(); }};
+constexpr ModelRow kBits{
+    "--bits", "F", "flit width (bits)", kNoGroup, kResult, u32(),
+    [](auto& q, auto& v) { q.bits = v.u32(); }};
+constexpr ModelRow kReadPorts{
+    "--read-ports", "N", "read ports (default: buffer 1,\ncentral-buffer 2)",
+    kNoGroup, kResult, u32(),
+    [](auto& q, auto& v) { q.readPorts = v.u32(); }};
+constexpr ModelRow kWritePorts{
+    "--write-ports", "N", "write ports (default: buffer 1,\ncentral-buffer 2)",
+    kNoGroup, kResult, u32(),
+    [](auto& q, auto& v) { q.writePorts = v.u32(); }};
+constexpr ModelRow kWidth{
+    "--width", "W", "data path width (bits)", kNoGroup, kResult,
+    u32(), [](auto& q, auto& v) { q.width = v.u32(); }};
+
+constexpr ModelRow kBufferRows[] = {kFlits, kBits, kReadPorts, kWritePorts};
+
+constexpr ModelRow kCrossbarRows[] = {
+    {"--inputs", "I", "input ports", kNoGroup, kResult, u32(),
+     [](auto& q, auto& v) { q.inputs = v.u32(); }},
+    {"--outputs", "O", "output ports", kNoGroup, kResult, u32(),
+     [](auto& q, auto& v) { q.outputs = v.u32(); }},
+    kWidth,
+    {"--mux-tree", nullptr, "multiplexer tree instead of a matrix",
+     kNoGroup, kResult, kSwitch,
+     [](auto& q, auto&) { q.muxTree = true; }},
+    {"--load-ff", "F", "extra output load (fF, default 0)", kNoGroup,
+     kResult, real(),
+     [](auto& q, auto& v) { q.loadFf = v.d; }},
 };
 
-Query
-parseQuery(const std::vector<std::string>& args)
-{
-    Query q;
-    q.component = args.front();
-    for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (a == "--mux-tree") {
-            q.muxTree = true;
-        } else if (a == "--csv") {
-            q.csv = true;
-        } else if (a.rfind("--", 0) == 0) {
-            if (i + 1 >= args.size())
-                fail(a + ": missing value");
-            q.values[a.substr(2)] = args[++i];
-        } else {
-            fail("unexpected argument '" + a + "'");
-        }
-    }
-    return q;
-}
+constexpr ModelRow kArbiterRows[] = {
+    {"--requests", "R", "requesters", kNoGroup, kResult, u32(),
+     [](auto& q, auto& v) { q.requests = v.u32(); }},
+    {"--kind", "matrix|rr|queuing", "arbiter kind (default matrix)",
+     kNoGroup, kResult, kText, [](auto& q, auto& v) {
+         if (v.text == "matrix")
+             q.kind = power::ArbiterKind::Matrix;
+         else if (v.text == "rr")
+             q.kind = power::ArbiterKind::RoundRobin;
+         else if (v.text == "queuing")
+             q.kind = power::ArbiterKind::Queuing;
+         else
+             core::flags::reject("unknown arbiter kind '" + v.text + "'");
+     }},
+    {"--xbar-ctrl-ff", "F", "crossbar control load (fF, default 0)",
+     kNoGroup, kResult, real(),
+     [](auto& q, auto& v) { q.xbarCtrlFf = v.d; }},
+};
 
-tech::TechNode
-techFrom(const Query& q)
-{
-    const double feature = q.number("feature-um", 0.1);
-    const double vdd = q.number("vdd", 1.2);
-    const double ghz = q.number("freq-ghz", 2.0);
-    if (feature <= 0.0 || vdd <= 0.0 || ghz <= 0.0)
-        fail("--feature-um, --vdd and --freq-ghz must be positive");
-    return tech::TechNode::scaled(feature, vdd, ghz * 1e9);
-}
+constexpr ModelRow kCentralBufferRows[] = {
+    {"--banks", "N", "banks", kNoGroup, kResult, u32(),
+     [](auto& q, auto& v) { q.banks = v.u32(); }},
+    {"--rows", "N", "rows per bank", kNoGroup, kResult, u32(),
+     [](auto& q, auto& v) { q.rows = v.u32(); }},
+    kBits,
+    kReadPorts,
+    kWritePorts,
+    {"--router-ports", "N", "router ports (default 5)", kNoGroup,
+     kResult, u32(),
+     [](auto& q, auto& v) { q.routerPorts = v.u32(); }},
+};
+
+constexpr ModelRow kLinkRows[] = {
+    {"--length-um", "L", "wire length (um)", kNoGroup, kResult,
+     kPositive, [](auto& q, auto& v) { q.lengthUm = v.d; }},
+    kWidth,
+};
+
+constexpr ModelRow kC2cLinkRows[] = {
+    {"--watts", "W", "constant link power (default 3)", kNoGroup,
+     kResult, real(),
+     [](auto& q, auto& v) { q.watts = v.d; }},
+};
+
+constexpr ModelRow kCommonRows[] = {
+    {"--feature-um", "F", "drawn feature size (default 0.1)", kNoGroup,
+     kResult, kPositive,
+     [](auto& q, auto& v) { q.featureUm = v.d; }},
+    {"--vdd", "V", "supply voltage (default 1.2)", kNoGroup,
+     kResult, kPositive,
+     [](auto& q, auto& v) { q.vdd = v.d; }},
+    {"--freq-ghz", "G", "clock (default 2.0)", kNoGroup, kResult,
+     kPositive, [](auto& q, auto& v) { q.freqGhz = v.d; }},
+    {"--csv", nullptr, "CSV output", kNoGroup, kControl, kSwitch,
+     [](auto& q, auto&) { q.csv = true; }},
+};
 
 std::string
-render(const Query& q, report::Table& t)
+render(const ModelQuery& q, report::Table& t)
 {
     return q.csv ? report::formatCsv(t) : report::formatTable(t);
 }
 
 std::string
-bufferQuery(const Query& q, const tech::TechNode& tech)
+bufferQuery(const ModelQuery& q, const tech::TechNode& tech)
 {
-    const power::BufferParams p{
-        q.count("flits"), q.count("bits"),
-        q.count("read-ports", 1), q.count("write-ports", 1)};
+    const power::BufferParams p{need(q.flits, "--flits"),
+                                need(q.bits, "--bits"),
+                                q.readPorts.value_or(1),
+                                q.writePorts.value_or(1)};
     const power::BufferModel m(tech, p);
     report::Table t;
     t.title = "FIFO buffer model (Table 2)";
@@ -133,13 +163,14 @@ bufferQuery(const Query& q, const tech::TechNode& tech)
 }
 
 std::string
-crossbarQuery(const Query& q, const tech::TechNode& tech)
+crossbarQuery(const ModelQuery& q, const tech::TechNode& tech)
 {
     const power::CrossbarParams p{
-        q.count("inputs"), q.count("outputs"), q.count("width"),
+        need(q.inputs, "--inputs"), need(q.outputs, "--outputs"),
+        need(q.width, "--width"),
         q.muxTree ? power::CrossbarKind::MuxTree
                   : power::CrossbarKind::Matrix,
-        q.number("load-ff", 0.0) * 1e-15};
+        q.loadFf * 1e-15};
     const power::CrossbarModel m(tech, p);
     report::Table t;
     t.title = q.muxTree ? "mux-tree crossbar model (Table 3)"
@@ -157,23 +188,11 @@ crossbarQuery(const Query& q, const tech::TechNode& tech)
 }
 
 std::string
-arbiterQuery(const Query& q, const tech::TechNode& tech)
+arbiterQuery(const ModelQuery& q, const tech::TechNode& tech)
 {
-    power::ArbiterKind kind = power::ArbiterKind::Matrix;
-    if (q.has("kind")) {
-        const std::string& k = q.values.at("kind");
-        if (k == "matrix")
-            kind = power::ArbiterKind::Matrix;
-        else if (k == "rr")
-            kind = power::ArbiterKind::RoundRobin;
-        else if (k == "queuing")
-            kind = power::ArbiterKind::Queuing;
-        else
-            fail("--kind: unknown arbiter kind '" + k + "'");
-    }
     const power::ArbiterModel m(
-        tech, {q.count("requests"), kind,
-               q.number("xbar-ctrl-ff", 0.0) * 1e-15});
+        tech, {need(q.requests, "--requests"), q.kind,
+               q.xbarCtrlFf * 1e-15});
     report::Table t;
     t.title = "arbiter model (Table 4)";
     t.headers = {"quantity", "value"};
@@ -189,12 +208,12 @@ arbiterQuery(const Query& q, const tech::TechNode& tech)
 }
 
 std::string
-centralBufferQuery(const Query& q, const tech::TechNode& tech)
+centralBufferQuery(const ModelQuery& q, const tech::TechNode& tech)
 {
     const power::CentralBufferParams p{
-        q.count("banks"),          q.count("rows"),
-        q.count("bits"),           q.count("read-ports", 2),
-        q.count("write-ports", 2), q.count("router-ports", 5),
+        need(q.banks, "--banks"),     need(q.rows, "--rows"),
+        need(q.bits, "--bits"),       q.readPorts.value_or(2),
+        q.writePorts.value_or(2),     q.routerPorts.value_or(5),
         2};
     const power::CentralBufferModel m(tech, p);
     report::Table t;
@@ -209,13 +228,10 @@ centralBufferQuery(const Query& q, const tech::TechNode& tech)
 }
 
 std::string
-linkQuery(const Query& q, const tech::TechNode& tech)
+linkQuery(const ModelQuery& q, const tech::TechNode& tech)
 {
-    const power::OnChipLinkModel m(
-        tech, q.number("length-um", -1.0) > 0
-                  ? q.number("length-um", -1.0)
-                  : (fail("--length-um is required"), 0.0),
-        q.count("width"));
+    const power::OnChipLinkModel m(tech, need(q.lengthUm, "--length-um"),
+                                   need(q.width, "--width"));
     report::Table t;
     t.title = "on-chip link model";
     t.headers = {"quantity", "value"};
@@ -226,9 +242,9 @@ linkQuery(const Query& q, const tech::TechNode& tech)
 }
 
 std::string
-c2cLinkQuery(const Query& q, const tech::TechNode& tech)
+c2cLinkQuery(const ModelQuery& q, const tech::TechNode& tech)
 {
-    const power::ChipToChipLinkModel m(q.number("watts", 3.0));
+    const power::ChipToChipLinkModel m(q.watts);
     report::Table t;
     t.title = "chip-to-chip link model (constant power)";
     t.headers = {"quantity", "value"};
@@ -238,54 +254,56 @@ c2cLinkQuery(const Query& q, const tech::TechNode& tech)
     return render(q, t);
 }
 
+constexpr ModelComponent kComponents[] = {
+    {"buffer", kBufferRows, &bufferQuery},
+    {"crossbar", kCrossbarRows, &crossbarQuery},
+    {"arbiter", kArbiterRows, &arbiterQuery},
+    {"central-buffer", kCentralBufferRows, &centralBufferQuery},
+    {"link", kLinkRows, &linkQuery},
+    {"c2c-link", kC2cLinkRows, &c2cLinkQuery},
+};
+
 } // namespace
+
+const std::span<const ModelComponent> kModelComponents = kComponents;
+
+const core::flags::Table<ModelQuery> kModelCommonFlags = kCommonRows;
 
 std::string
 modelUsage()
 {
-    return "usage: orion_models COMPONENT [options]\n"
-           "\n"
-           "components:\n"
-           "  buffer          --flits B --bits F [--read-ports N] "
-           "[--write-ports N]\n"
-           "  crossbar        --inputs I --outputs O --width W "
-           "[--mux-tree] [--load-ff F]\n"
-           "  arbiter         --requests R [--kind matrix|rr|queuing] "
-           "[--xbar-ctrl-ff F]\n"
-           "  central-buffer  --banks N --rows N --bits F "
-           "[--read-ports N] [--write-ports N] [--router-ports N]\n"
-           "  link            --length-um L --width W\n"
-           "  c2c-link        [--watts W]\n"
-           "\n"
-           "common options:\n"
-           "  --feature-um F   drawn feature size (default 0.1)\n"
-           "  --vdd V          supply voltage (default 1.2)\n"
-           "  --freq-ghz G     clock (default 2.0)\n"
-           "  --csv            CSV output\n";
+    std::string out = "usage: orion_models COMPONENT [options]\n";
+    for (const ModelComponent& c : kComponents) {
+        out += "\n";
+        out += c.name;
+        out += ":\n";
+        out += core::flags::help(c.rows);
+    }
+    return out + "\ncommon options:\n" + core::flags::help(kModelCommonFlags);
 }
 
 std::string
 runModelQuery(const std::vector<std::string>& args)
 {
-    if (args.empty() || args.front() == "--help" || args.front() == "-h")
+    ModelQuery q;
+    std::vector<std::string> rest;
+    if (args.empty() ||
+        core::flags::parse(kTool, kModelCommonFlags, args, q, &rest))
         return modelUsage();
-
-    const Query q = parseQuery(args);
-    const tech::TechNode tech = techFrom(q);
-
-    if (q.component == "buffer")
-        return bufferQuery(q, tech);
-    if (q.component == "crossbar")
-        return crossbarQuery(q, tech);
-    if (q.component == "arbiter")
-        return arbiterQuery(q, tech);
-    if (q.component == "central-buffer")
-        return centralBufferQuery(q, tech);
-    if (q.component == "link")
-        return linkQuery(q, tech);
-    if (q.component == "c2c-link")
-        return c2cLinkQuery(q, tech);
-    fail("unknown component '" + q.component + "'");
+    if (rest.empty())
+        core::flags::fail(kTool, "missing component");
+    const ModelComponent* component = nullptr;
+    for (const ModelComponent& c : kComponents) {
+        if (c.name == rest.front())
+            component = &c;
+    }
+    if (component == nullptr)
+        core::flags::fail(kTool, "unknown component '" + rest.front() + "'");
+    core::flags::parse(kTool, component->rows,
+                       std::vector<std::string>(rest.begin() + 1, rest.end()),
+                       q);
+    return component->evaluate(
+        q, tech::TechNode::scaled(q.featureUm, q.vdd, q.freqGhz * 1e9));
 }
 
 } // namespace orion::cli

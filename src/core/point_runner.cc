@@ -8,12 +8,12 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 #include <stdexcept>
 #include <thread>
 
 #include <stdlib.h>
 
+#include "core/cli.hh"
 #include "core/forensics.hh"
 #include "core/log.hh"
 #include "core/profile.hh"
@@ -76,20 +76,16 @@ loadReportFile(const std::string& path)
 std::vector<std::string>
 workerArgs(const std::vector<std::string>& args)
 {
-    static const char* const kValued[] = {
-        "--report-out", "--metrics-out", "--trace-out",
-        "--manifest-out", "--log-out", "--log-level", "--point-timeout",
-    };
     std::vector<std::string> out;
     for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (std::find(std::begin(kValued), std::end(kValued), a) !=
-            std::end(kValued)) {
-            ++i; // skip the value too
-            continue;
-        }
-        if (a != "--profile-phases")
-            out.push_back(a);
+        const auto* row = flags::find(cli::kSimFlags, args[i]);
+        const bool valued =
+            row != nullptr && row->type.kind != flags::Kind::Switch;
+        const bool keep = row == nullptr || row->cls != flags::Class::Local;
+        if (keep)
+            out.push_back(args[i]);
+        if (valued && ++i < args.size() && keep)
+            out.push_back(args[i]);
     }
     return out;
 }

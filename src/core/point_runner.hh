@@ -108,11 +108,10 @@ struct WorkerCommand
 };
 
 /**
- * @p args without the flags never forwarded to a worker: per-run
- * output files (--report-out, --metrics-out, --trace-out,
- * --manifest-out, --log-out, --log-level), which concurrent workers
- * would race to overwrite, --profile-phases, whose profile nobody
- * collects, and --point-timeout, which the runner passes per point.
+ * @p args without the orion_sim flags of class Local (and their
+ * values): per-run outputs, which concurrent workers would race to
+ * overwrite, and the flags the runner passes per point. See
+ * cli::kSimFlags.
  */
 std::vector<std::string> workerArgs(const std::vector<std::string>& args);
 

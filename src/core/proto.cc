@@ -1,9 +1,12 @@
 #include "core/proto.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+
+#include <unistd.h>
 
 #include "core/log.hh"
 
@@ -365,5 +368,39 @@ expiredReply(std::uint64_t job, std::size_t retained)
                           "served from the cache");
 }
 
-} // namespace orion::core::proto
+bool
+writeLine(int fd, const std::string& line)
+{
+    const std::string out = line + "\n";
+    for (std::size_t off = 0; off < out.size();) {
+        const ssize_t n = ::write(fd, out.data() + off, out.size() - off);
+        if (n < 0 && errno != EINTR)
+            return false;
+        off += n > 0 ? static_cast<std::size_t>(n) : 0;
+    }
+    return true;
+}
 
+bool
+readLine(int fd, std::string& out, std::size_t max_bytes)
+{
+    out.clear();
+    char buf[4096];
+    for (;;) {
+        const ssize_t n = ::read(fd, buf, sizeof buf);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            return n == 0 && !out.empty();
+        out.append(buf, static_cast<std::size_t>(n));
+        const std::size_t eol = out.find('\n');
+        if (eol != std::string::npos) {
+            out.resize(eol);
+            return true;
+        }
+        if (out.size() > max_bytes)
+            return false;
+    }
+}
+
+} // namespace orion::core::proto

@@ -111,6 +111,15 @@ std::string errorReply(const std::string& code,
  * the daemon's @p retained newest settled jobs. */
 std::string expiredReply(std::uint64_t job, std::size_t retained);
 
+/** Write @p line and a newline to @p fd, retrying EINTR and short
+ * writes; false on a write error. */
+bool writeLine(int fd, const std::string& line);
+
+/** Read @p fd up to its first newline into @p out (without it): false
+ * on a read error, at end of stream with nothing read, or past
+ * @p max_bytes without a newline. */
+bool readLine(int fd, std::string& out, std::size_t max_bytes);
+
 } // namespace orion::core::proto
 
 #endif // ORION_CORE_PROTO_HH

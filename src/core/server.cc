@@ -100,8 +100,7 @@ Server::cancelJob(std::uint64_t id)
         job.status.state = JobState::Cancelled;
         job.status.error = "cancelled";
         ++cancelled_;
-        // Leave the id in queue_; workers skip entries that are no
-        // longer Queued or no longer in the table.
+        queue_.erase(std::find(queue_.begin(), queue_.end(), id));
         settle(job);
     }
     job.token.cancel(CancelCause::Interrupt);
@@ -136,14 +135,11 @@ Server::drain()
             // Queued jobs are cancelled — only in-flight work is
             // drained; SIGTERM should not wait for a deep backlog.
             for (const std::uint64_t id : queue_) {
-                const auto it = jobs_.find(id);
-                if (it != jobs_.end() &&
-                    it->second->status.state == JobState::Queued) {
-                    it->second->status.state = JobState::Cancelled;
-                    it->second->status.error = "cancelled (drain)";
-                    ++cancelled_;
-                    settle(*it->second);
-                }
+                Job& job = *jobs_.at(id);
+                job.status.state = JobState::Cancelled;
+                job.status.error = "cancelled (drain)";
+                ++cancelled_;
+                settle(job);
             }
             queue_.clear();
         }
@@ -165,23 +161,14 @@ Server::workerMain()
         Job* job = nullptr;
         {
             core::LockGuard lock(mutex_);
-            for (;;) {
-                while (!queue_.empty()) {
-                    const std::uint64_t id = queue_.front();
-                    queue_.pop_front();
-                    const auto it = jobs_.find(id);
-                    if (it == jobs_.end() ||
-                        it->second->status.state != JobState::Queued)
-                        continue; // cancelled while queued
-                    job = it->second.get();
-                    break;
-                }
-                if (job != nullptr || draining_)
-                    break;
+            while (queue_.empty() && !draining_)
                 cv_.wait(mutex_);
-            }
-            if (job == nullptr)
+            if (queue_.empty())
                 return; // draining and the queue is dry
+            // Every queued id is a live Queued job: cancelJob and
+            // drain take theirs out of queue_.
+            job = jobs_.at(queue_.front()).get();
+            queue_.pop_front();
             job->status.state = JobState::Running;
             ++running_;
         }

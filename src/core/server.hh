@@ -223,6 +223,7 @@ class Server
     core::CondVar cv_;
     std::map<std::uint64_t, std::unique_ptr<Job>> jobs_
         ORION_GUARDED_BY(mutex_);
+    /** Ids of the jobs still Queued, in admission order. */
     std::deque<std::uint64_t> queue_ ORION_GUARDED_BY(mutex_);
     /** Settled job ids, oldest first (at most kRetainedJobs). */
     std::deque<std::uint64_t> settled_ ORION_GUARDED_BY(mutex_);

@@ -129,4 +129,29 @@ TEST(ModelCli, Errors)
                  std::invalid_argument);
 }
 
+TEST(ModelCli, RejectsOptionsTheComponentDoesNotRead)
+{
+    try {
+        runModelQuery(
+            {"buffer", "--flits", "8", "--bits", "32", "--vd", "0.5"});
+        ADD_FAILURE() << "--vd was accepted";
+    } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), "orion_models: unknown option '--vd' "
+                               "(--help for usage)");
+    }
+    // Every other component's option is refused, not ignored.
+    for (const cli::ModelComponent& c : cli::kModelComponents) {
+        for (const cli::ModelComponent& other : cli::kModelComponents) {
+            for (const auto& row : other.rows) {
+                if (core::flags::find(c.rows, row.flag) != nullptr)
+                    continue;
+                EXPECT_THROW(runModelQuery({std::string(c.name),
+                                            std::string(row.flag), "1"}),
+                             std::invalid_argument)
+                    << c.name << " " << row.flag;
+            }
+        }
+    }
+}
+
 } // namespace

@@ -226,6 +226,54 @@ TEST_F(ServerTest, GridHitsAtLaterIndicesMatchFreshBytes)
     }
 }
 
+/** Submit a long miss and wait until it occupies the server's only
+ * worker, so later jobs stay queued. Returns its id (0 on failure). */
+std::uint64_t
+pinOnlyWorker(core::Server& server)
+{
+    const core::JobSpec blocker = makeSpec(
+        {"--preset", "vc16", "--sample", "400000", "--max-cycles",
+         "20000000"},
+        {0.25});
+    std::string code;
+    std::string message;
+    const std::uint64_t id = server.submit(blocker, code, message);
+    core::JobStatus st;
+    while (server.status(id, st) && st.state == core::JobState::Queued)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    return st.state == core::JobState::Running ? id : 0;
+}
+
+TEST_F(ServerTest, CancellingABacklogFreesItsQueueSlots)
+{
+    core::ServerOptions opts = options(64);
+    opts.workers = 1;
+    core::Server server(opts);
+    const std::uint64_t blocker_id = pinOnlyWorker(server);
+    ASSERT_NE(blocker_id, 0u);
+
+    const core::JobSpec hit = makeSpec(kArgs, {0.05});
+    std::string code;
+    std::string message;
+    std::vector<std::uint64_t> queued;
+    for (int n = 0; n < 64; ++n) {
+        queued.push_back(server.submit(hit, code, message));
+        ASSERT_NE(queued.back(), 0u) << code << ": " << message;
+    }
+    EXPECT_EQ(server.submit(hit, code, message), 0u);
+    EXPECT_EQ(code, "queue_full");
+
+    for (const std::uint64_t id : queued)
+        ASSERT_TRUE(server.cancelJob(id));
+    EXPECT_EQ(server.stats().queueDepth, 0u);
+    code.clear();
+    EXPECT_NE(server.submit(hit, code, message), 0u)
+        << code << ": " << message;
+
+    ASSERT_TRUE(server.cancelJob(blocker_id));
+    server.drain();
+}
+
 TEST_F(ServerTest, CancelledWhileQueuedJobsAreRetired)
 {
     core::ServerOptions opts = options(core::kRetainedJobs + 64);
@@ -234,21 +282,11 @@ TEST_F(ServerTest, CancelledWhileQueuedJobsAreRetired)
     const core::JobSpec hit = makeSpec(kArgs, {0.05});
     ASSERT_EQ(runToEnd(server, hit).state, core::JobState::Done);
 
-    // A long miss pins the only worker so later jobs stay queued.
-    const core::JobSpec blocker = makeSpec(
-        {"--preset", "vc16", "--sample", "400000", "--max-cycles",
-         "20000000"},
-        {0.25});
+    const std::uint64_t blocker_id = pinOnlyWorker(server);
+    ASSERT_NE(blocker_id, 0u);
     std::string code;
     std::string message;
-    const std::uint64_t blocker_id =
-        server.submit(blocker, code, message);
-    ASSERT_NE(blocker_id, 0u) << code << ": " << message;
     core::JobStatus st;
-    while (server.status(blocker_id, st) &&
-           st.state == core::JobState::Queued)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    ASSERT_EQ(st.state, core::JobState::Running);
 
     std::vector<std::uint64_t> queued;
     for (std::size_t n = 0; n < core::kRetainedJobs + 32; ++n) {

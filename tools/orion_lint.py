@@ -39,6 +39,9 @@ one does:
                      through the router/fault_hooks.hh interface, so
                      the router layer stays independent of the net
                      layer's fault machinery.
+  one-flag-parser    src/ and tools/ parse options only through the
+                     core/flags.hh tables: == "--x" / != "-h" outside
+                     them is a hand-written parser (a bare "--" is not).
   unused-suppression a "// lint-allow: <rule>" comment that no longer
                      suppresses anything (or names an unknown rule) is
                      itself a finding, so suppressions cannot outlive
@@ -66,7 +69,7 @@ SKIP_PREFIXES = ("tests/analysis/fixtures/",)
 KNOWN_RULES = (
     "nondeterminism", "naked-new", "file-scope-state", "include-guard",
     "stdout-in-library", "stat-printing", "fault-hooks", "naked-stderr",
-    "unused-suppression",
+    "one-flag-parser", "unused-suppression",
 )
 
 # Directories whose modules must be re-entrant (parallel sweeps run
@@ -122,6 +125,12 @@ FILE_SCOPE_OK_RE = re.compile(
 FAULT_INJECTOR_RE = re.compile(r"\bFaultInjector\b")
 FAULT_INCLUDE_RE = re.compile(r'#\s*include\s*"net/fault\.hh"')
 
+# A comparison against an option-name string literal: a hand-written
+# command-line parser outside the flag module.
+FLAG_COMPARE_RE = re.compile(
+    r'[!=]=\s*"--?[A-Za-z][\w-]*"|"--?[A-Za-z][\w-]*"\s*[!=]=')
+FLAG_MODULE = ("src/core/flags.",)
+
 
 def strip_comments_and_strings(line, in_block_comment):
     """Blank out string/char literals and comments, preserving length.
@@ -141,13 +150,8 @@ def strip_comments_and_strings(line, in_block_comment):
                 state = "block"
                 i += 2
                 continue
-            if c == '"':
-                state = "dquote"
-                out.append(" ")
-                i += 1
-                continue
-            if c == "'":
-                state = "squote"
+            if c in "\"'":
+                state = "dquote" if c == '"' else "squote"
                 out.append(" ")
                 i += 1
                 continue
@@ -204,6 +208,8 @@ class Linter:
         in_src = rel.startswith("src/")
         is_rng = rel.startswith("src/sim/rng")
         reentrant = rel.startswith(REENTRANT_DIRS)
+        flag_parsing = (rel.startswith(("src/", "tools/"))
+                        and not rel.startswith(FLAG_MODULE))
         in_block = False
         cleaned_lines = []
         for line in lines:
@@ -211,6 +217,15 @@ class Linter:
             cleaned_lines.append(cleaned)
 
         for idx, (line, code) in enumerate(zip(lines, cleaned_lines), 1):
+            # The option name is a literal, blanked in the cleaned
+            # line; the comparison itself must be code.
+            if (flag_parsing and re.search(r"[!=]=", code)
+                    and FLAG_COMPARE_RE.search(line)):
+                self.report(
+                    path, idx, "one-flag-parser",
+                    "option names are parsed only by core/flags.hh "
+                    "tables; declare a Row instead of comparing", line)
+
             if in_src and not is_rng:
                 for pat, what in NONDET_PATTERNS:
                     if pat.search(code):

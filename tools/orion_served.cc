@@ -18,10 +18,8 @@
  *
  * Exit codes: 0 clean shutdown, 1 usage or socket setup failure.
  */
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <iostream>
@@ -48,163 +46,9 @@ namespace {
 using orion::core::CancelToken;
 using orion::core::ResultCache;
 using orion::core::Server;
+using orion::core::flags::fail;
 
 constexpr std::size_t kMaxRequestBytes = 1 << 20;
-
-struct DaemonOptions
-{
-    std::string socketPath;
-    std::string cacheDir;
-    std::uint64_t cacheMaxEntries = 4096;
-    std::uint64_t cacheSegmentEntries = 256;
-    unsigned workers = 1;
-    std::size_t queueMax = 16;
-    double defaultTimeoutSeconds = 0.0;
-    unsigned retries = 2;
-    unsigned backoffMs = 0;
-    /** The orion_sim binary for --isolate; empty runs in process. */
-    std::string isolateExe;
-    std::string manifestOut;
-    std::string logOut;
-    std::string logLevel;
-    bool helpRequested = false;
-};
-
-const char* kUsage =
-    "usage: orion_served --socket PATH [options]\n"
-    "\n"
-    "  --socket PATH             Unix-domain socket to listen on\n"
-    "  --cache-dir DIR           persistent result cache directory\n"
-    "  --cache-max-entries N     LRU eviction bound (default 4096)\n"
-    "  --cache-segment-entries N segment rotation size (default 256)\n"
-    "  --workers N               worker threads (default 1)\n"
-    "  --queue-max N             admission high-water mark "
-    "(default 16)\n"
-    "  --timeout SECONDS         default per-job deadline "
-    "(default none)\n"
-    "  --retries N               per-point attempts (default 2)\n"
-    "  --backoff-ms N            sleep between attempts (default 0)\n"
-    "  --isolate EXE             run each point in a forked orion_sim\n"
-    "  --manifest-out FILE       shutdown manifest (default\n"
-    "                            <socket>.manifest.json)\n"
-    "  --log-out FILE --log-level LVL   structured JSON log sink\n";
-
-[[noreturn]] void
-usageError(const std::string& what)
-{
-    throw std::invalid_argument("orion_served: " + what +
-                                " (--help for usage)");
-}
-
-DaemonOptions
-parseDaemonArgs(const std::vector<std::string>& args)
-{
-    DaemonOptions o;
-    const auto need = [&](std::size_t i) -> const std::string& {
-        if (i + 1 >= args.size())
-            usageError("'" + args[i] + "' needs a value");
-        return args[i + 1];
-    };
-    const auto needU64 = [&](std::size_t i) {
-        const std::string& v = need(i);
-        char* end = nullptr;
-        const unsigned long long n =
-            std::strtoull(v.c_str(), &end, 10);
-        if (end != v.c_str() + v.size() || v.empty() ||
-            v.front() == '-')
-            usageError("'" + args[i] + "' needs an unsigned integer");
-        return static_cast<std::uint64_t>(n);
-    };
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (a == "--help" || a == "-h") {
-            o.helpRequested = true;
-        } else if (a == "--socket") {
-            o.socketPath = need(i); ++i;
-        } else if (a == "--cache-dir") {
-            o.cacheDir = need(i); ++i;
-        } else if (a == "--cache-max-entries") {
-            o.cacheMaxEntries = needU64(i); ++i;
-        } else if (a == "--cache-segment-entries") {
-            o.cacheSegmentEntries = needU64(i); ++i;
-        } else if (a == "--workers") {
-            o.workers = static_cast<unsigned>(needU64(i)); ++i;
-        } else if (a == "--queue-max") {
-            o.queueMax = static_cast<std::size_t>(needU64(i)); ++i;
-        } else if (a == "--timeout") {
-            const std::string& v = need(i); ++i;
-            char* end = nullptr;
-            o.defaultTimeoutSeconds = std::strtod(v.c_str(), &end);
-            if (end != v.c_str() + v.size() ||
-                !(o.defaultTimeoutSeconds >= 0.0))
-                usageError("--timeout needs seconds >= 0");
-        } else if (a == "--retries") {
-            o.retries = static_cast<unsigned>(needU64(i)); ++i;
-        } else if (a == "--backoff-ms") {
-            o.backoffMs = static_cast<unsigned>(needU64(i)); ++i;
-        } else if (a == "--isolate") {
-            o.isolateExe = need(i); ++i;
-        } else if (a == "--manifest-out") {
-            o.manifestOut = need(i); ++i;
-        } else if (a == "--log-out") {
-            o.logOut = need(i); ++i;
-        } else if (a == "--log-level") {
-            o.logLevel = need(i); ++i;
-        } else {
-            usageError("unknown option '" + a + "'");
-        }
-    }
-    if (!o.helpRequested && o.socketPath.empty())
-        usageError("--socket is required");
-    if (o.manifestOut.empty() && !o.socketPath.empty())
-        o.manifestOut = o.socketPath + ".manifest.json";
-    if (o.cacheSegmentEntries == 0)
-        usageError("--cache-segment-entries must be >= 1");
-    return o;
-}
-
-/** Read one request line (up to kMaxRequestBytes) from @p fd. */
-bool
-readRequestLine(int fd, std::string& out)
-{
-    out.clear();
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return !out.empty();
-        out.append(buf, static_cast<std::size_t>(n));
-        const std::size_t eol = out.find('\n');
-        if (eol != std::string::npos) {
-            out.resize(eol);
-            return true;
-        }
-        if (out.size() > kMaxRequestBytes)
-            return false;
-    }
-}
-
-void
-writeReplyLine(int fd, const std::string& reply)
-{
-    const std::string line = reply + "\n";
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n =
-            ::write(fd, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return; // client went away; nothing to salvage
-        }
-        off += static_cast<std::size_t>(n);
-    }
-}
 
 std::string
 okPrefix()
@@ -238,7 +82,7 @@ serverStatsJson(const orion::core::ServerStats& s, bool with_resident)
 
 std::string
 handleSubmit(const orion::core::proto::Request& req, Server& server,
-             const DaemonOptions& dopts)
+             const orion::cli::DaemonArgs& dopts)
 {
     namespace proto = orion::core::proto;
     orion::core::JobSpec spec;
@@ -284,7 +128,7 @@ handleSubmit(const orion::core::proto::Request& req, Server& server,
 
 std::string
 handleRequest(const std::string& line, Server& server,
-              ResultCache* cache, const DaemonOptions& dopts)
+              ResultCache* cache, const orion::cli::DaemonArgs& dopts)
 {
     namespace proto = orion::core::proto;
     proto::Request req;
@@ -360,18 +204,18 @@ listenOn(const std::string& path)
     sockaddr_un addr{};
     addr.sun_family = AF_UNIX;
     if (path.size() >= sizeof addr.sun_path)
-        usageError("socket path too long: '" + path + "'");
+        fail("orion_served", "socket path too long: '" + path + "'");
     std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
 
     ::unlink(path.c_str()); // stale socket from a SIGKILLed daemon
     const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd < 0)
-        usageError("cannot create socket");
+        fail("orion_served", "cannot create socket");
     if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
                sizeof addr) != 0 ||
         ::listen(fd, 64) != 0) {
         ::close(fd);
-        usageError("cannot bind/listen on '" + path + "'");
+        fail("orion_served", "cannot bind/listen on '" + path + "'");
     }
     return fd;
 }
@@ -390,7 +234,7 @@ shutdownManifestJson(Server& server, ResultCache* cache, int sig)
 }
 
 int
-daemonMain(const DaemonOptions& dopts)
+daemonMain(const orion::cli::DaemonArgs& dopts)
 {
     using orion::core::log::Level;
     namespace log = orion::core::log;
@@ -450,11 +294,10 @@ daemonMain(const DaemonOptions& dopts)
         if (conn < 0)
             continue;
         std::string line;
-        if (readRequestLine(conn, line)) {
-            writeReplyLine(
-                conn, handleRequest(line, server, cache.get(),
-                                    dopts));
-        }
+        // A client that went away has nothing to salvage.
+        if (orion::core::proto::readLine(conn, line, kMaxRequestBytes))
+            orion::core::proto::writeLine(
+                conn, handleRequest(line, server, cache.get(), dopts));
         ::close(conn);
     }
 
@@ -491,20 +334,13 @@ main(int argc, char** argv)
 
     std::vector<std::string> args(argv + 1, argv + argc);
     try {
-        const DaemonOptions dopts = parseDaemonArgs(args);
+        const orion::cli::DaemonArgs dopts = orion::cli::parseDaemon(args);
         if (dopts.helpRequested) {
-            std::cout << kUsage;
+            std::cout << "usage: orion_served --socket PATH [options]\n"
+                      << orion::core::flags::help(orion::cli::kDaemonFlags);
             return 0;
         }
-        log::configureFromEnv();
-        if (!dopts.logOut.empty() || !dopts.logLevel.empty()) {
-            Level level = Level::Info;
-            if (!dopts.logLevel.empty() &&
-                !log::parseLevel(dopts.logLevel, level))
-                usageError("bad --log-level '" + dopts.logLevel +
-                           "'");
-            log::configure(dopts.logOut, level);
-        }
+        log::configureCli(dopts.logOut, dopts.logLevel);
         std::signal(SIGPIPE, SIG_IGN);
         orion::core::installInterruptHandlers();
         return daemonMain(dopts);

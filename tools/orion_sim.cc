@@ -43,28 +43,6 @@ namespace {
 
 namespace log = orion::core::log;
 
-/** Attach the structured log sink: environment first, flags win. */
-void
-configureLogger(const orion::cli::Options& opts)
-{
-    log::configureFromEnv();
-    if (!opts.logOut.empty()) {
-        log::Level level = log::Level::Info;
-        log::parseLevel(opts.logLevel, level);
-        log::configure(opts.logOut, level);
-    }
-}
-
-/** 16-hex-char rendering of a sweep fingerprint. */
-std::string
-fingerprintHex(std::uint64_t fp)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    return buf;
-}
-
 /** An output-stream failure (exit 4): the run itself was healthy, the
  * results could not be delivered. */
 class IoError : public std::runtime_error
@@ -108,11 +86,11 @@ main(int argc, char** argv)
             std::fputs(cli::usage().c_str(), stdout);
             return 0;
         }
-        configureLogger(opts);
+        log::configureCli(opts.logOut, opts.logLevel);
 
         core::RunManifest manifest =
             core::RunManifest::begin("orion_sim");
-        manifest.fingerprintHex = fingerprintHex(core::sweepFingerprint(
+        manifest.fingerprintHex = core::hex16(core::sweepFingerprint(
             opts.network, opts.traffic, opts.sim,
             {opts.traffic.injectionRate}, 1));
         manifest.seed = opts.sim.seed;

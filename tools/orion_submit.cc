@@ -3,20 +3,15 @@
  * orion_submit: NDJSON client for orion_served (docs/ROBUSTNESS.md,
  * "Resident service"; recipes in EXPERIMENTS.md).
  *
- * usage: orion_submit --socket PATH VERB [options]
+ * usage: orion_submit --socket PATH VERB [options] [-- SIM_ARGS...]
  *
- *   submit [--rates F:L:N] [--timeout SEC] [--wait] [--out FILE]
- *          [--poll-ms N] -- SIM_ARGS...
- *       Enqueue an orion_sim configuration (everything after `--` is
- *       orion_sim flags, forwarded verbatim). Prints the server's
- *       reply line; with --wait, polls until the job settles and then
- *       writes the result bytes (to --out or stdout).
- *   status JOB      print the job's status reply line
- *   result JOB [--out FILE]
- *       Fetch a finished job's result; the bytes are written raw so
- *       `cmp` against an orion_sim --report-out file is meaningful.
- *   cancel JOB      request cooperative cancellation
- *   stats           print the server/cache counters reply line
+ * `submit` enqueues an orion_sim configuration (everything after `--`
+ * is orion_sim flags, forwarded verbatim) and prints the server's
+ * reply line; with --wait it polls until the job settles and then
+ * writes the result bytes. `result JOB` writes a finished job's bytes
+ * raw, so `cmp` against an orion_sim --report-out file is meaningful.
+ * `status JOB`, `cancel JOB` and `stats` print the reply line.
+ * `orion_submit --help` lists the options (cli::kSubmitFlags).
  *
  * Exit codes: 0 success, 1 usage or connection failure, 2 structured
  * rejection (queue_full, invalid_config, bad_request, unknown_job,
@@ -24,10 +19,8 @@
  * cancelled. "expired" names a job retired past the daemon's
  * retention bound: resubmit it, and the cache serves its points.
  */
-#include <cerrno>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <fstream>
@@ -40,6 +33,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "core/cli.hh"
 #include "core/log.hh"
 #include "core/proto.hh"
 
@@ -78,41 +72,14 @@ transact(const std::string& socket_path, const std::string& request)
                    "' (is orion_served running?)");
     }
 
-    const std::string line = request + "\n";
-    std::size_t off = 0;
-    while (off < line.size()) {
-        const ssize_t n =
-            ::write(fd, line.data() + off, line.size() - off);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            ::close(fd);
-            usageError("write to '" + socket_path + "' failed");
-        }
-        off += static_cast<std::size_t>(n);
+    if (!proto::writeLine(fd, request)) {
+        ::close(fd);
+        usageError("write to '" + socket_path + "' failed");
     }
-
     std::string reply;
-    char buf[4096];
-    for (;;) {
-        const ssize_t n = ::read(fd, buf, sizeof buf);
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-        if (n == 0)
-            break;
-        reply.append(buf, static_cast<std::size_t>(n));
-        if (reply.find('\n') != std::string::npos ||
-            reply.size() > kMaxReplyBytes)
-            break;
-    }
+    const bool got = proto::readLine(fd, reply, kMaxReplyBytes);
     ::close(fd);
-    const std::size_t eol = reply.find('\n');
-    if (eol != std::string::npos)
-        reply.resize(eol);
-    if (reply.empty())
+    if (!got)
         usageError("empty reply from '" + socket_path + "'");
     return reply;
 }
@@ -186,12 +153,12 @@ simpleRequest(const std::string& verb, std::uint64_t job)
 std::uint64_t
 parseJobId(const std::string& text)
 {
-    char* end = nullptr;
-    const unsigned long long id =
-        std::strtoull(text.c_str(), &end, 10);
-    if (end != text.c_str() + text.size() || text.empty() || id == 0)
-        usageError("bad job id '" + text + "'");
-    return id;
+    try {
+        if (const std::uint64_t id = orion::core::flags::toUnsigned(text))
+            return id;
+    } catch (const orion::core::flags::Rejected&) {
+    }
+    usageError("bad job id '" + text + "'");
 }
 
 /** Fetch the result of a settled job; returns the process exit
@@ -239,145 +206,75 @@ waitForJob(const std::string& socket_path, std::uint64_t job,
 }
 
 int
-submitMain(const std::string& socket_path,
-           const std::vector<std::string>& args)
+submitMain(const orion::cli::SubmitArgs& a)
 {
-    std::string rates;
-    double timeout = -1.0;
-    bool wait = false;
-    std::string outPath;
-    unsigned pollMs = 200;
-    std::vector<std::string> simArgs;
-
-    const auto need = [&](std::size_t i) -> const std::string& {
-        if (i + 1 >= args.size())
-            usageError("'" + args[i] + "' needs a value");
-        return args[i + 1];
-    };
-    std::size_t i = 0;
-    for (; i < args.size(); ++i) {
-        const std::string& a = args[i];
-        if (a == "--") {
-            ++i;
-            break;
-        }
-        if (a == "--rates") {
-            rates = need(i); ++i;
-        } else if (a == "--timeout") {
-            const std::string& v = need(i); ++i;
-            char* end = nullptr;
-            timeout = std::strtod(v.c_str(), &end);
-            if (end != v.c_str() + v.size() || !(timeout >= 0.0))
-                usageError("--timeout needs seconds >= 0");
-        } else if (a == "--wait") {
-            wait = true;
-        } else if (a == "--out") {
-            outPath = need(i); ++i;
-        } else if (a == "--poll-ms") {
-            const std::string& v = need(i); ++i;
-            pollMs = static_cast<unsigned>(
-                std::strtoul(v.c_str(), nullptr, 10));
-            if (pollMs == 0)
-                usageError("--poll-ms needs a positive integer");
-        } else {
-            usageError("unknown submit option '" + a +
-                       "' (simulator flags go after --)");
-        }
-    }
-    for (; i < args.size(); ++i)
-        simArgs.push_back(args[i]);
-
     std::string req = "{\"schema\":";
     req += proto::jsonString(proto::kSchema);
     req += ",\"verb\":\"submit\",\"args\":[";
-    for (std::size_t k = 0; k < simArgs.size(); ++k) {
+    for (std::size_t k = 0; k < a.simArgs.size(); ++k) {
         if (k != 0)
             req += ",";
-        req += proto::jsonString(simArgs[k]);
+        req += proto::jsonString(a.simArgs[k]);
     }
     req += "]";
-    if (!rates.empty())
-        req += ",\"rates\":" + proto::jsonString(rates);
-    if (timeout >= 0.0) {
-        req += ",\"timeout\":" + log::strf("%.17g", timeout);
+    if (!a.rates.empty())
+        req += ",\"rates\":" + proto::jsonString(a.rates);
+    if (a.timeoutSeconds >= 0.0) {
+        req += ",\"timeout\":" + log::strf("%.17g", a.timeoutSeconds);
     }
     req += "}";
 
-    const Reply r = roundTrip(socket_path, req);
+    const Reply r = roundTrip(a.socketPath, req);
     std::cout << r.line << "\n";
     if (!r.ok)
         return rejectionExit(r);
-    if (!wait)
+    if (!a.wait)
         return 0;
     const proto::JsonValue* job = r.root.find("job");
     if (job == nullptr ||
         job->kind != proto::JsonValue::Kind::Number)
         usageError("malformed submit reply: " + r.line);
-    return waitForJob(socket_path,
+    return waitForJob(a.socketPath,
                       static_cast<std::uint64_t>(job->number),
-                      outPath, pollMs);
+                      a.outPath, a.pollMs);
 }
 
 int
 run(const std::vector<std::string>& args)
 {
-    std::string socketPath;
-    std::size_t i = 0;
-    if (i < args.size() && (args[i] == "--help" || args[i] == "-h")) {
+    const orion::cli::SubmitArgs a = orion::cli::parseSubmit(args);
+    if (a.helpRequested) {
         std::cout
-            << "usage: orion_submit --socket PATH VERB [options]\n"
-               "  submit [--rates F:L:N] [--timeout SEC] [--wait]\n"
-               "         [--out FILE] [--poll-ms N] -- SIM_ARGS...\n"
-               "  status JOB\n"
-               "  result JOB [--out FILE]\n"
-               "  cancel JOB\n"
-               "  stats\n";
+            << "usage: orion_submit --socket PATH VERB [options]\n\n"
+               "verbs:\n"
+               "  submit [options] -- SIM_ARGS...   enqueue an orion_sim "
+               "job\n"
+               "  status JOB | result JOB | cancel JOB | stats\n"
+            << orion::core::flags::help(orion::cli::kSubmitFlags);
         return 0;
     }
-    if (i + 1 < args.size() && args[i] == "--socket") {
-        socketPath = args[i + 1];
-        i += 2;
-    }
-    if (socketPath.empty())
-        usageError("--socket PATH must come first (--help for usage)");
-    if (i >= args.size())
-        usageError("missing verb (--help for usage)");
-    const std::string verb = args[i++];
-    const std::vector<std::string> rest(args.begin() +
-                                            static_cast<long>(i),
-                                        args.end());
+    const std::string& verb = a.words.front();
+    const bool takes_job =
+        verb == "status" || verb == "result" || verb == "cancel";
+    if (!takes_job && verb != "submit" && verb != "stats")
+        usageError("unknown verb '" + verb + "' (--help for usage)");
+    const std::size_t want = takes_job ? 2 : 1;
+    if (a.words.size() < want)
+        usageError(verb + " needs a JOB id");
+    if (a.words.size() > want)
+        usageError("unexpected argument '" + a.words[want] +
+                   "' (orion_sim flags go after --)");
 
     if (verb == "submit")
-        return submitMain(socketPath, rest);
-    if (verb == "stats") {
-        const Reply r =
-            roundTrip(socketPath, simpleRequest("stats", 0));
-        std::cout << r.line << "\n";
-        return r.ok ? 0 : rejectionExit(r);
-    }
-    if (verb == "status" || verb == "cancel") {
-        if (rest.empty())
-            usageError(verb + " needs a JOB id");
-        const Reply r = roundTrip(
-            socketPath, simpleRequest(verb, parseJobId(rest[0])));
-        std::cout << r.line << "\n";
-        return r.ok ? 0 : rejectionExit(r);
-    }
-    if (verb == "result") {
-        if (rest.empty())
-            usageError("result needs a JOB id");
-        std::string outPath;
-        for (std::size_t k = 1; k < rest.size(); ++k) {
-            if (rest[k] == "--out" && k + 1 < rest.size()) {
-                outPath = rest[k + 1];
-                ++k;
-            } else {
-                usageError("unknown result option '" + rest[k] + "'");
-            }
-        }
-        return fetchResult(socketPath, parseJobId(rest[0]), outPath);
-    }
-    usageError("unknown verb '" + verb + "' (--help for usage)");
+        return submitMain(a);
+    if (verb == "result")
+        return fetchResult(a.socketPath, parseJobId(a.words[1]),
+                           a.outPath);
+    const Reply r = roundTrip(
+        a.socketPath,
+        simpleRequest(verb, takes_job ? parseJobId(a.words[1]) : 0));
+    std::cout << r.line << "\n";
+    return r.ok ? 0 : rejectionExit(r);
 }
 
 } // namespace

@@ -5,31 +5,10 @@
  * Runs the same configuration across a range of injection rates and
  * emits one CSV row per point (the series behind latency/power vs.
  * load figures), plus the measured zero-load latency and the paper's
- * 2x-zero-load saturation point. Accepts all orion_sim options, plus:
- *
- *   --rates FIRST:LAST:COUNT   evenly spaced rates (default
- *                              0.01:0.20:10)
- *   --seeds N                  average each point over N seeds and
- *                              report the latency spread
- *   --metrics-dir DIR          write each point's sampled time series
- *                              to DIR/point_NNN.csv (with --seeds N>1:
- *                              DIR/seed_K/point_NNN.csv per seed)
- *   --trace-dir DIR            write each point's Chrome trace JSON
- *                              to DIR/point_NNN.json (per-seed
- *                              subdirectories with --seeds N>1)
- *   --checkpoint FILE          journal each finished cell to FILE
- *   --resume FILE              skip cells already journaled in FILE
- *                              (and keep appending to it); the merged
- *                              CSV is byte-identical to an
- *                              uninterrupted run at any --jobs
- *   --isolate                  run each point in a fork/exec'd
- *                              orion_sim subprocess: a crash, OOM, or
- *                              wedge is one structured failed row,
- *                              never a dead sweep
- *   --isolate-exe PATH         the orion_sim binary (default: next to
- *                              this binary)
- *   --isolate-mem MB           worker RLIMIT_AS cap in MiB
- *   --isolate-cpu SEC          worker RLIMIT_CPU cap in seconds
+ * 2x-zero-load saturation point. Accepts every orion_sim option plus
+ * the sweep options (rate grid, seeds, per-point telemetry
+ * directories, checkpoint/resume journals, --isolate workers,
+ * heartbeat); `orion_sweep --help` lists them (cli::kSweepFlags).
  *
  * Exit codes: 0 ok; 1 usage error or unexpected exception; 3 one or
  * more points failed (rows for healthy points still printed); 5
@@ -45,9 +24,7 @@
 #include <cstdio>
 #include <exception>
 #include <filesystem>
-#include <fstream>
 #include <memory>
-#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -66,16 +43,6 @@ using namespace orion;
 namespace {
 
 namespace log = core::log;
-
-/** 16-hex-char rendering of a sweep fingerprint. */
-std::string
-fingerprintHex(std::uint64_t fp)
-{
-    char buf[17];
-    std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    return buf;
-}
 
 /** CSV cell for an optional resource value ("" when unmeasured). */
 std::string
@@ -102,203 +69,52 @@ seedDir(const std::string& dir, unsigned k)
     return (std::filesystem::path(dir) / name).string();
 }
 
-void
-writeFile(const std::string& path, const std::string& content)
-{
-    std::ofstream out(path, std::ios::binary);
-    if (!out)
-        throw std::runtime_error("orion_sweep: cannot open '" + path +
-                                 "' for writing");
-    out << content;
-}
-
 } // namespace
 
 int
 main(int argc, char** argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    std::vector<double> rates = Sweep::linspace(0.01, 0.20, 10);
-    unsigned seeds = 1;
-    std::string metrics_dir;
-    std::string trace_dir;
-    std::string checkpoint_path;
-    std::string resume_path;
-    bool isolate = false;
-    std::string isolate_exe;
-    std::uint64_t isolate_mem_mb = 0;
-    std::uint64_t isolate_cpu_s = 0;
-    std::string heartbeat_path;
-    double heartbeat_interval = 1.0;
-    bool progress_line = false;
-    bool resources_cols = false;
-
-    // Extract the sweep-only options, pass the rest to the shared
-    // parser (and, in --isolate mode, to the worker processes).
-    std::vector<std::string> rest;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--isolate") {
-            isolate = true;
-            continue;
-        }
-        if (args[i] == "--progress") {
-            progress_line = true;
-            continue;
-        }
-        if (args[i] == "--resources") {
-            resources_cols = true;
-            continue;
-        }
-        if (args[i] == "--rates" || args[i] == "--seeds" ||
-            args[i] == "--metrics-dir" || args[i] == "--trace-dir" ||
-            args[i] == "--checkpoint" || args[i] == "--resume" ||
-            args[i] == "--isolate-exe" ||
-            args[i] == "--isolate-mem" || args[i] == "--isolate-cpu" ||
-            args[i] == "--heartbeat" ||
-            args[i] == "--heartbeat-interval") {
-            const std::string opt = args[i];
-            if (i + 1 >= args.size()) {
-                log::diag(log::Level::Error, "sweep.usage",
-                          log::strf("orion_sweep: %s: missing value\n",
-                                    opt.c_str()));
-                return 1;
-            }
-            try {
-                if (opt == "--rates")
-                    rates = cli::parseRateSpec(args[++i]);
-                else if (opt == "--seeds")
-                    seeds = static_cast<unsigned>(
-                        std::stoul(args[++i]));
-                else if (opt == "--metrics-dir")
-                    metrics_dir = args[++i];
-                else if (opt == "--trace-dir")
-                    trace_dir = args[++i];
-                else if (opt == "--checkpoint")
-                    checkpoint_path = args[++i];
-                else if (opt == "--resume")
-                    resume_path = args[++i];
-                else if (opt == "--isolate-exe")
-                    isolate_exe = args[++i];
-                else if (opt == "--isolate-mem")
-                    isolate_mem_mb = std::stoull(args[++i]);
-                else if (opt == "--heartbeat")
-                    heartbeat_path = args[++i];
-                else if (opt == "--heartbeat-interval")
-                    heartbeat_interval = std::stod(args[++i]);
-                else
-                    isolate_cpu_s = std::stoull(args[++i]);
-            } catch (const std::exception& e) {
-                log::diag(log::Level::Error, "sweep.usage",
-                          log::strf("orion_sweep: bad %s: %s\n",
-                                    opt.c_str(), e.what()));
-                return 1;
-            }
-        } else {
-            rest.push_back(args[i]);
-        }
-    }
-    if (seeds < 1) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --seeds must be >= 1\n");
-        return 1;
-    }
-    if (heartbeat_interval <= 0.0) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --heartbeat-interval must be > 0 "
-                  "seconds\n");
-        return 1;
-    }
-    if (!checkpoint_path.empty() && !resume_path.empty()) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --checkpoint and --resume are "
-                  "mutually exclusive (--resume keeps appending "
-                  "to its journal)\n");
-        return 1;
-    }
-    const bool journaling =
-        !checkpoint_path.empty() || !resume_path.empty();
-    if (journaling && (!metrics_dir.empty() || !trace_dir.empty())) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --checkpoint/--resume cannot be "
-                  "combined with --metrics-dir/--trace-dir "
-                  "(telemetry exports are not journaled)\n");
-        return 1;
-    }
-    if (isolate && seeds > 1) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --isolate supports --seeds 1 "
-                  "only\n");
-        return 1;
-    }
-    if (isolate && (!metrics_dir.empty() || !trace_dir.empty())) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --isolate cannot be combined with "
-                  "--metrics-dir/--trace-dir\n");
-        return 1;
-    }
-    if (!isolate && (!isolate_exe.empty() || isolate_mem_mb != 0 ||
-                     isolate_cpu_s != 0)) {
-        log::diag(log::Level::Error, "sweep.usage",
-                  "orion_sweep: --isolate-exe/--isolate-mem/"
-                  "--isolate-cpu require --isolate\n");
-        return 1;
-    }
-
     try {
-        const cli::Options opts = cli::parse(rest);
+        const cli::SweepArgs sa = cli::parseSweep(args);
+        const cli::Options& opts = sa.sim;
         if (opts.helpRequested) {
-            std::fputs(cli::usage().c_str(), stdout);
-            std::fputs("\nsweep:\n  --rates FIRST:LAST:COUNT   "
-                       "evenly spaced rates (default 0.01:0.20:10)\n"
-                       "  --seeds N                  average each point "
-                       "over N seeds\n"
-                       "  --metrics-dir DIR          per-point metric "
-                       "CSVs (DIR/point_NNN.csv;\n"
-                       "                             DIR/seed_K/... "
-                       "with --seeds N>1)\n"
-                       "  --trace-dir DIR            per-point Chrome "
-                       "traces (DIR/point_NNN.json;\n"
-                       "                             per-seed subdirs "
-                       "with --seeds N>1)\n"
-                       "  --checkpoint FILE          journal finished "
-                       "cells to FILE (crash-safe)\n"
-                       "  --resume FILE              skip cells "
-                       "journaled in FILE, append new ones;\n"
-                       "                             merged output is "
-                       "byte-identical to an\n"
-                       "                             uninterrupted run "
-                       "at any --jobs\n"
-                       "  --isolate                  one orion_sim "
-                       "subprocess per point (crashes\n"
-                       "                             become structured "
-                       "failed rows)\n"
-                       "  --isolate-exe PATH         worker binary "
-                       "(default: next to orion_sweep)\n"
-                       "  --isolate-mem MB           worker RLIMIT_AS "
-                       "cap (MiB)\n"
-                       "  --isolate-cpu SEC          worker RLIMIT_CPU "
-                       "cap (seconds)\n"
-                       "  --heartbeat FILE           atomically "
-                       "rewritten progress JSON (watch with\n"
-                       "                             tools/"
-                       "orion_status.py)\n"
-                       "  --heartbeat-interval SEC   background "
-                       "refresh period (default 1)\n"
-                       "  --progress                 rewriting stderr "
-                       "progress line (TTY only)\n"
-                       "  --resources                append wall_s/"
-                       "cpu_s/maxrss_kb CSV columns\n"
-                       "                             (nondeterministic "
-                       "values; off by default)\n",
+            std::fputs(("usage: orion_sweep [options]\n" +
+                        core::flags::help(cli::kSimFlags) +
+                        core::flags::help(cli::kSweepFlags))
+                           .c_str(),
                        stdout);
             return 0;
         }
-        log::configureFromEnv();
-        if (!opts.logOut.empty()) {
-            log::Level level = log::Level::Info;
-            log::parseLevel(opts.logLevel, level);
-            log::configure(opts.logOut, level);
+        const auto usageError = [](const char* what) {
+            log::diag(log::Level::Error, "sweep.usage",
+                      log::strf("orion_sweep: %s\n", what));
+            return 1;
+        };
+        if (!sa.checkpointPath.empty() && !sa.resumePath.empty()) {
+            return usageError("--checkpoint and --resume are mutually "
+                              "exclusive (--resume keeps appending to "
+                              "its journal)");
         }
+        const bool journaling =
+            !sa.checkpointPath.empty() || !sa.resumePath.empty();
+        if (journaling && (!sa.metricsDir.empty() || !sa.traceDir.empty())) {
+            return usageError("--checkpoint/--resume cannot be combined "
+                              "with --metrics-dir/--trace-dir (telemetry "
+                              "exports are not journaled)");
+        }
+        if (sa.isolate && sa.seeds > 1)
+            return usageError("--isolate supports --seeds 1 only");
+        if (sa.isolate && (!sa.metricsDir.empty() || !sa.traceDir.empty())) {
+            return usageError("--isolate cannot be combined with "
+                              "--metrics-dir/--trace-dir");
+        }
+        if (!sa.isolate && (!sa.isolateExe.empty() || sa.isolateMemMb != 0 ||
+                         sa.isolateCpuSeconds != 0)) {
+            return usageError("--isolate-exe/--isolate-mem/--isolate-cpu "
+                              "require --isolate");
+        }
+        log::configureCli(opts.logOut, opts.logLevel);
 
         // One Ctrl-C/SIGTERM stops every in-flight point
         // cooperatively; a second one kills the process the
@@ -315,26 +131,26 @@ main(int argc, char** argv)
         // orion_sim. Telemetry stays off in parallel sweeps unless
         // explicitly requested here.
         SimConfig sim_cfg = opts.sim;
-        if (!metrics_dir.empty()) {
+        if (!sa.metricsDir.empty()) {
             if (sim_cfg.telemetry.sampleInterval == 0)
                 sim_cfg.telemetry.sampleInterval = 1000;
-            std::filesystem::create_directories(metrics_dir);
+            std::filesystem::create_directories(sa.metricsDir);
         }
-        if (!trace_dir.empty()) {
+        if (!sa.traceDir.empty()) {
             sim_cfg.telemetry.traceEnabled = true;
-            std::filesystem::create_directories(trace_dir);
+            std::filesystem::create_directories(sa.traceDir);
         }
 
         // Checkpoint plumbing: the fingerprint binds the journal to
         // this exact configuration and grid; a mismatched --resume is
         // a structured error, never a silent mix of results.
         const std::uint64_t fingerprint = core::sweepFingerprint(
-            opts.network, opts.traffic, sim_cfg, rates, seeds);
+            opts.network, opts.traffic, sim_cfg, sa.rates, sa.seeds);
         std::vector<core::CheckpointEntry> resume_entries;
         std::unique_ptr<core::CheckpointJournal> journal;
-        if (!resume_path.empty()) {
+        if (!sa.resumePath.empty()) {
             core::CheckpointLoad load =
-                core::loadCheckpoint(resume_path, fingerprint);
+                core::loadCheckpoint(sa.resumePath, fingerprint);
             resume_entries = std::move(load.entries);
             if (load.truncatedTail) {
                 log::diag(log::Level::Warn, "sweep.torn_journal",
@@ -346,17 +162,17 @@ main(int argc, char** argv)
                       log::strf("orion_sweep: resuming: %zu cells "
                                 "cached in '%s'\n",
                                 resume_entries.size(),
-                                resume_path.c_str()),
+                                sa.resumePath.c_str()),
                       {log::u64("cached", resume_entries.size()),
-                       log::str("journal", resume_path)});
+                       log::str("journal", sa.resumePath)});
             journal = std::make_unique<core::CheckpointJournal>(
-                resume_path, fingerprint, /*resume=*/true);
-        } else if (!checkpoint_path.empty()) {
+                sa.resumePath, fingerprint, /*resume=*/true);
+        } else if (!sa.checkpointPath.empty()) {
             journal = std::make_unique<core::CheckpointJournal>(
-                checkpoint_path, fingerprint, /*resume=*/false);
+                sa.checkpointPath, fingerprint, /*resume=*/false);
         }
         const std::string journal_path =
-            !resume_path.empty() ? resume_path : checkpoint_path;
+            !sa.resumePath.empty() ? sa.resumePath : sa.checkpointPath;
 
         // Run manifest: explicit --manifest-out, or automatically
         // beside a checkpoint journal so long runs self-describe.
@@ -365,12 +181,12 @@ main(int argc, char** argv)
             manifest_path = journal_path + ".manifest.json";
         core::RunManifest manifest =
             core::RunManifest::begin("orion_sweep");
-        manifest.fingerprintHex = fingerprintHex(fingerprint);
+        manifest.fingerprintHex = core::hex16(fingerprint);
         manifest.seed = sim_cfg.seed;
-        manifest.seeds = seeds;
-        manifest.ratePoints = rates.size();
+        manifest.seeds = sa.seeds;
+        manifest.ratePoints = sa.rates.size();
         manifest.pointsTotal =
-            static_cast<std::uint64_t>(rates.size()) * seeds;
+            static_cast<std::uint64_t>(sa.rates.size()) * sa.seeds;
         const auto writeManifest = [&](const char* reason) {
             if (manifest_path.empty())
                 return;
@@ -388,13 +204,13 @@ main(int argc, char** argv)
 
         // Live progress: heartbeat file and/or TTY progress line.
         std::unique_ptr<core::ProgressTracker> tracker;
-        if (!heartbeat_path.empty() || progress_line) {
+        if (!sa.heartbeatPath.empty() || sa.progressLine) {
             core::ProgressTracker::Options po;
-            po.heartbeatPath = heartbeat_path;
-            po.heartbeatIntervalSeconds = heartbeat_interval;
-            po.progressLine = progress_line;
+            po.heartbeatPath = sa.heartbeatPath;
+            po.heartbeatIntervalSeconds = sa.heartbeatIntervalSeconds;
+            po.progressLine = sa.progressLine;
             po.totalCells =
-                static_cast<std::uint64_t>(rates.size()) * seeds;
+                static_cast<std::uint64_t>(sa.rates.size()) * sa.seeds;
             po.jobs = opts.jobs != 0
                           ? opts.jobs
                           : std::max(
@@ -404,10 +220,10 @@ main(int argc, char** argv)
         }
         log::event(log::Level::Info, "sweep.start",
                    {log::str("fingerprint", manifest.fingerprintHex),
-                    log::u64("rate_points", rates.size()),
-                    log::u64("seeds", seeds),
+                    log::u64("rate_points", sa.rates.size()),
+                    log::u64("seeds", sa.seeds),
                     log::u64("cells", manifest.pointsTotal),
-                    log::boolean("isolate", isolate),
+                    log::boolean("isolate", sa.isolate),
                     log::u64("cached", resume_entries.size())});
 
         SweepOptions sweep_opts;
@@ -418,11 +234,12 @@ main(int argc, char** argv)
         sweep_opts.cancel = &core::interruptToken();
         sweep_opts.journal = journal.get();
         sweep_opts.resume =
-            resume_path.empty() ? nullptr : &resume_entries;
+            sa.resumePath.empty() ? nullptr : &resume_entries;
         sweep_opts.progress = tracker.get();
-        if (isolate) {
-            core::WorkerCommand worker{isolate_exe, rest, isolate_mem_mb,
-                                       isolate_cpu_s};
+        if (sa.isolate) {
+            core::WorkerCommand worker{sa.isolateExe, sa.simArgs,
+                                       sa.isolateMemMb,
+                                       sa.isolateCpuSeconds};
             // Default worker: the orion_sim built next to this binary.
             if (worker.exe.empty()) {
                 worker.exe = (std::filesystem::path(argv[0]).parent_path() /
@@ -457,9 +274,9 @@ main(int argc, char** argv)
             return 5;
         };
 
-        if (seeds > 1) {
+        if (sa.seeds > 1) {
             const auto points = Sweep::overRatesAveraged(
-                opts.network, opts.traffic, sim_cfg, rates, seeds,
+                opts.network, opts.traffic, sim_cfg, sa.rates, sa.seeds,
                 sweep_opts);
             if (tracker)
                 tracker->finalize();
@@ -476,28 +293,28 @@ main(int argc, char** argv)
             // Multi-seed telemetry lands in per-seed subdirectories:
             // DIR/seed_K/point_NNN.{csv,json} (failed seeds captured
             // nothing and are skipped).
-            for (unsigned k = 0; k < seeds; ++k) {
-                if (!metrics_dir.empty())
+            for (unsigned k = 0; k < sa.seeds; ++k) {
+                if (!sa.metricsDir.empty())
                     std::filesystem::create_directories(
-                        seedDir(metrics_dir, k));
-                if (!trace_dir.empty())
+                        seedDir(sa.metricsDir, k));
+                if (!sa.traceDir.empty())
                     std::filesystem::create_directories(
-                        seedDir(trace_dir, k));
+                        seedDir(sa.traceDir, k));
             }
             for (std::size_t i = 0; i < points.size(); ++i) {
                 const auto& p = points[i];
-                for (unsigned k = 0; k < seeds; ++k) {
-                    if (!metrics_dir.empty() &&
+                for (unsigned k = 0; k < sa.seeds; ++k) {
+                    if (!sa.metricsDir.empty() &&
                         !p.metricsCsvBySeed[k].empty()) {
-                        writeFile(pointPath(seedDir(metrics_dir, k),
-                                            i, "csv"),
-                                  p.metricsCsvBySeed[k]);
+                        core::writeFileAtomic(
+                            pointPath(seedDir(sa.metricsDir, k), i, "csv"),
+                            p.metricsCsvBySeed[k]);
                     }
-                    if (!trace_dir.empty() &&
+                    if (!sa.traceDir.empty() &&
                         !p.traceJsonBySeed[k].empty()) {
-                        writeFile(pointPath(seedDir(trace_dir, k), i,
-                                            "json"),
-                                  p.traceJsonBySeed[k]);
+                        core::writeFileAtomic(
+                            pointPath(seedDir(sa.traceDir, k), i, "json"),
+                            p.traceJsonBySeed[k]);
                     }
                 }
             }
@@ -505,7 +322,7 @@ main(int argc, char** argv)
             t.headers = {"rate",        "completed",   "latency_mean",
                          "latency_min", "latency_max", "throughput",
                          "power_w",     "failed_seeds", "attempts"};
-            if (resources_cols) {
+            if (sa.resources) {
                 t.headers.insert(t.headers.end(),
                                  {"wall_s", "cpu_s", "maxrss_kb"});
             }
@@ -526,7 +343,7 @@ main(int argc, char** argv)
                     std::to_string(p.failedSeeds),
                     std::to_string(attempts),
                 };
-                if (resources_cols) {
+                if (sa.resources) {
                     const PointResources& rs = p.resources;
                     row.push_back(
                         resourceCell(rs.valid, rs.wallSeconds));
@@ -543,7 +360,7 @@ main(int argc, char** argv)
             log::diag(log::Level::Info, "sweep.done",
                       log::strf("# zero-load latency: %.2f cycles; "
                                 "%u seeds per point\n",
-                                zero_load, seeds),
+                                zero_load, sa.seeds),
                       {log::u64("failed_seeds", failed)});
             if (failed > 0) {
                 for (const auto& p : points) {
@@ -562,7 +379,7 @@ main(int argc, char** argv)
         }
 
         const std::vector<SweepPoint> points = Sweep::overRates(
-            opts.network, opts.traffic, sim_cfg, rates, sweep_opts);
+            opts.network, opts.traffic, sim_cfg, sa.rates, sweep_opts);
         if (tracker)
             tracker->finalize();
         manifest.pointsFromCheckpoint =
@@ -579,19 +396,19 @@ main(int argc, char** argv)
             return interruptedEpilogue();
 
         for (std::size_t i = 0; i < points.size(); ++i) {
-            if (!metrics_dir.empty())
-                writeFile(pointPath(metrics_dir, i, "csv"),
-                          points[i].metricsCsv);
-            if (!trace_dir.empty())
-                writeFile(pointPath(trace_dir, i, "json"),
-                          points[i].traceJson);
+            if (!sa.metricsDir.empty())
+                core::writeFileAtomic(pointPath(sa.metricsDir, i, "csv"),
+                                      points[i].metricsCsv);
+            if (!sa.traceDir.empty())
+                core::writeFileAtomic(pointPath(sa.traceDir, i, "json"),
+                                      points[i].traceJson);
         }
 
         report::Table t;
         t.headers = {"rate",    "completed", "latency", "p95",
                      "throughput", "power_w", "buffer_w", "crossbar_w",
                      "arbiter_w",  "link_w",  "status",   "attempts"};
-        if (resources_cols) {
+        if (sa.resources) {
             t.headers.insert(t.headers.end(),
                              {"wall_s", "cpu_s", "maxrss_kb"});
         }
@@ -611,7 +428,7 @@ main(int argc, char** argv)
                 stopReasonName(r.stopReason),
                 std::to_string(p.attempts),
             };
-            if (resources_cols) {
+            if (sa.resources) {
                 const PointResources& rs = p.resources;
                 row.push_back(resourceCell(rs.valid, rs.wallSeconds));
                 row.push_back(resourceCell(rs.valid, rs.cpuSeconds));
